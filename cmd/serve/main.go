@@ -73,7 +73,7 @@ func main() {
 	poolBytes := flag.Int64("pool-bytes", 0,
 		"byte ceiling of the warm solver/manager pool; 0 = default (256 MiB), negative disables pooling")
 	schedWorkers := flag.Int("sched-workers", 0,
-		"shared scheduler executor count; 0 = max-concurrent, negative disables the shared scheduler")
+		"executor count of the shared scheduler every request's subcube jobs run on; <= 0 = max-concurrent")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
 	flag.Parse()
 

@@ -117,7 +117,8 @@ type Options struct {
 	// solver). The zero Budget is unbounded.
 	Budget budget.Budget
 	// Workers > 1 fans the enumeration out over guiding-path subcubes of
-	// the projection space, one fresh solver per subcube (see parallel.go).
+	// the projection space, one scheduler job and solver per subcube (see
+	// parallel.go).
 	// The merged cover denotes the same solution set as the sequential
 	// run for every worker count. 0 or 1 enumerates sequentially.
 	Workers int
@@ -138,8 +139,9 @@ type Options struct {
 	// solvers and BDD managers come warm from Runtime.Pool (Reset instead
 	// of reconstructed — bit-identical results, pinned by the reuse
 	// equivalence suite), and parallel subcube jobs run on Runtime.Sched's
-	// shared fair-share executors instead of per-request goroutines. Nil
-	// keeps the classic behavior.
+	// shared fair-share executors. Without a scheduler a parallel call
+	// runs on a private one with Workers executors; without a pool every
+	// solver is built fresh.
 	Runtime *rt.Runtime
 }
 

@@ -10,6 +10,7 @@ import (
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/partition"
+	rt "allsatpre/internal/runtime"
 	"allsatpre/internal/simplify"
 )
 
@@ -22,7 +23,7 @@ func (o Options) Parallel(workers int) Options {
 }
 
 // restrictFormula clones the formula and pins a guiding-path subcube
-// with unit clauses. Each parallel worker enumerates such a restricted
+// with unit clauses. Each subcube job enumerates such a restricted
 // clone with its own solver; the units also pin the subcube prefix
 // against lifting (a unit clause has exactly one satisfying literal, so
 // the lifter can never free its variable), which keeps the per-subcube
@@ -36,12 +37,14 @@ func restrictFormula(f *cnf.Formula, space *cube.Space, s partition.Subcube) *cn
 }
 
 // enumerateParallel fans an engine's enumeration loop out over
-// guiding-path subcubes: the projection space is split into disjoint prefix subcubes,
-// workers drain them from a shared feed (each subcube enumerated by a
-// fresh solver on a restricted clone), and the per-subcube covers are
+// guiding-path subcubes: the projection space is split into disjoint
+// prefix subcubes, each enumerated by one scheduler job with a fresh
+// solver on a restricted clone, and the per-subcube covers are
 // concatenated in subcube order — so the merged cover is deterministic
 // for a fixed split depth, and as a solution set it equals the
-// sequential enumeration for every worker count.
+// sequential enumeration for every worker count. The jobs run on
+// Options.Runtime's scheduler, or on a private one with Workers
+// executors when none is configured.
 func enumerateParallel(f *cnf.Formula, space *cube.Space, opts Options, eng engineKind) *Result {
 	bud := opts.Budget.Materialize()
 	workers := opts.Workers
@@ -54,13 +57,10 @@ func enumerateParallel(f *cnf.Formula, space *cube.Space, opts Options, eng engi
 		seq.Workers = 0
 		return enumerateSimplified(f, space, seq, eng)
 	}
-	if workers > len(subs) {
-		workers = len(subs)
-	}
 
-	// The cube cap is global: workers claim slots from a shared counter.
+	// The cube cap is global: jobs claim slots from a shared counter.
 	// The first abort records its reason and cancels the siblings via a
-	// shared context threaded into every worker's solver budget.
+	// shared context threaded into every job's solver budget.
 	maxCubes := bud.MergeCubes(opts.MaxCubes)
 	var cubeCount atomic.Uint64
 	base := context.Background()
@@ -104,7 +104,7 @@ func enumerateParallel(f *cnf.Formula, space *cube.Space, opts Options, eng engi
 			// counter only ever holds kept cubes plus transient
 			// over-claims that are immediately returned, so the
 			// merged cover respects the cap exactly — checking
-			// Load() before Add() would let two workers pass at
+			// Load() before Add() would let two jobs pass at
 			// maxCubes-1 and overshoot by up to workers-1.
 			if maxCubes > 0 && cubeCount.Add(1) > maxCubes {
 				cubeCount.Add(^uint64(0)) // unclaim
@@ -117,48 +117,22 @@ func enumerateParallel(f *cnf.Formula, space *cube.Space, opts Options, eng engi
 		it.Close()
 	}
 
-	if sched := opts.Runtime.S(); sched != nil {
-		// Scheduler mode: one job per subcube on the server-wide executor
-		// pool, fair-shared against every other in-flight request. outs is
-		// indexed by subcube, so the merged cover is byte-identical to the
-		// goroutine mode regardless of dispatch order.
-		var wg sync.WaitGroup
-		wg.Add(len(subs))
-		for i := range subs {
-			sched.Submit(opts.Runtime.Tenant, func() {
-				defer wg.Done()
-				if ctx.Err() == nil {
-					runSub(i)
-				}
-			})
+	// One job per subcube. outs is indexed by subcube, so the merged
+	// cover is identical for every dispatch order. A job whose context is
+	// already done records why instead of running.
+	run, stop := opts.Runtime.Scheduled(min(workers, len(subs)))
+	defer stop()
+	finished := make(chan struct{}, len(subs))
+	submitSubcubes(run, len(subs), func(i int) {
+		if r := budget.OfContext(ctx); r != budget.None {
+			record(r)
+		} else {
+			runSub(i)
 		}
-		wg.Wait()
-	} else {
-		feed := make(chan int)
-		go func() {
-			defer close(feed)
-			for i := range subs {
-				select {
-				case feed <- i:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range feed {
-					runSub(i)
-					if ctx.Err() != nil {
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
+		finished <- struct{}{}
+	})
+	for range subs {
+		<-finished
 	}
 
 	res := &Result{Space: space, Cover: cube.NewCover(space)}
@@ -166,21 +140,7 @@ func enumerateParallel(f *cnf.Formula, space *cube.Space, opts Options, eng engi
 		for _, c := range o.cubes {
 			res.Cover.Add(c)
 		}
-		s := o.stats
-		res.Stats.Solutions += s.Solutions
-		res.Stats.Cubes += s.Cubes
-		res.Stats.BlockingClauses += s.BlockingClauses
-		res.Stats.BlockingLits += s.BlockingLits
-		res.Stats.LiftedFree += s.LiftedFree
-		res.Stats.PeakLearnts += s.PeakLearnts
-		res.Stats.PeakLearntBytes += s.PeakLearntBytes
-		res.Stats.ArenaBytes += s.ArenaBytes
-		res.Stats.LearntsCore += s.LearntsCore
-		res.Stats.LearntsTier2 += s.LearntsTier2
-		res.Stats.LearntsLocal += s.LearntsLocal
-		res.Stats.Decisions += s.Decisions
-		res.Stats.Propagations += s.Propagations
-		res.Stats.Conflicts += s.Conflicts
+		addStats(&res.Stats, o.stats)
 	}
 	var kernel bdd.KernelStats
 	res.Count, res.Stats.BDDNodes, kernel = countCover(res.Cover, opts.Runtime.P())
@@ -192,37 +152,71 @@ func enumerateParallel(f *cnf.Formula, space *cube.Space, opts Options, eng engi
 	return res
 }
 
-// ParallelIterator streams solution cubes from a pool of workers, each
-// enumerating one guiding-path subcube at a time on its own solver. The
-// arrival order is scheduling-dependent (unlike the sequential Iterator),
-// but the multiset of cubes drains the same disjoint subcube covers.
+// submitSubcubes queues job(i) for every subcube index i in one batch,
+// so dispatch starts at subcube 0 like the sequential enumeration.
+func submitSubcubes(run *rt.Runtime, n int, job func(i int)) {
+	jobs := make([]func(), n)
+	for i := range jobs {
+		jobs[i] = func() { job(i) }
+	}
+	run.Sched.Submit(run.Tenant, jobs...)
+}
+
+// addStats accumulates the per-subcube search counters.
+func addStats(dst *Stats, s Stats) {
+	dst.Solutions += s.Solutions
+	dst.Cubes += s.Cubes
+	dst.BlockingClauses += s.BlockingClauses
+	dst.BlockingLits += s.BlockingLits
+	dst.LiftedFree += s.LiftedFree
+	dst.PeakLearnts += s.PeakLearnts
+	dst.PeakLearntBytes += s.PeakLearntBytes
+	dst.ArenaBytes += s.ArenaBytes
+	dst.LearntsCore += s.LearntsCore
+	dst.LearntsTier2 += s.LearntsTier2
+	dst.LearntsLocal += s.LearntsLocal
+	dst.Decisions += s.Decisions
+	dst.Propagations += s.Propagations
+	dst.Conflicts += s.Conflicts
+}
+
+// ParallelIterator streams solution cubes from scheduler jobs, each
+// enumerating one guiding-path subcube on its own solver. The multiset
+// of cubes is the union of the disjoint per-subcube covers, but the
+// order in which they arrive is unspecified: it depends on scheduling,
+// unlike the sequential Iterator's.
+//
+// Jobs hand cubes to the consumer through a buffer under mu; Next waits
+// on cond. On a private scheduler the buffer is bounded and a job blocks
+// while it is full. Shared executors must never block on a slow
+// consumer, so there the buffer is unbounded; the request's cube and
+// budget fences bound it instead (the collect-then-merge paths buffer
+// the whole cover anyway).
 type ParallelIterator struct {
-	ch     chan cube.Cube
 	cancel context.CancelFunc
 	reason atomic.Int32
 	done   atomic.Bool
 
-	mu    sync.Mutex
-	stats Stats
-
-	// Scheduler mode (runtime-backed): subcube jobs run on the shared
-	// executors, which must never block on a slow consumer — cubes
-	// accumulate in buf under mu and Next waits on cond instead of a
-	// bounded channel. The lost backpressure is bounded by the request's
-	// cube/budget fences (the collect-then-merge paths buffer the whole
-	// cover anyway).
-	sched   bool
+	mu      sync.Mutex
 	cond    *sync.Cond
+	stats   Stats
 	buf     []cube.Cube
 	bufHead int
+	limit   int  // buffered-cube cap; 0 = unbounded
 	closed  bool // every subcube job finished
 	stopped bool // consumer called Stop
+
+	// stopSched stops a private scheduler (a no-op on a shared one). The
+	// consumer calls it once, on exhaustion or Stop — never a job.
+	stopSched func()
+	finishing sync.Once
 }
 
-// NewParallelIterator starts opts.Workers workers (minimum 1) and
-// returns the streaming iterator over the blocking (or, with lift, the
-// lifting) engine. Callers must either drain it or call Stop to release
-// the workers.
+// NewParallelIterator submits one job per subcube (on Options.Runtime's
+// scheduler, or a private one with Workers executors) and returns the
+// streaming iterator over the blocking (or, with lift, the lifting)
+// engine. Callers must either drain it or call Stop to release the
+// jobs.
 func NewParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, lift bool) *ParallelIterator {
 	eng := engBlocking
 	if lift {
@@ -241,119 +235,75 @@ func NewParallelDisjointIterator(f *cnf.Formula, space *cube.Space, opts Options
 func newParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, eng engineKind) *ParallelIterator {
 	var sstats simplify.Stats
 	f, sstats = maybeSimplify(f, space, &opts)
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(opts.Workers, 1)
 	bud := opts.Budget.Materialize()
 	base := context.Background()
 	if bud.Ctx != nil {
 		base = bud.Ctx
 	}
 	ctx, cancel := context.WithCancel(base)
-	p := &ParallelIterator{
-		ch:     make(chan cube.Cube, 4*workers),
-		cancel: cancel,
-	}
+	p := &ParallelIterator{cancel: cancel}
+	p.cond = sync.NewCond(&p.mu)
 	p.stats.Simplify = sstats
 	k := partition.PrefixDepth(space, workers, 2)
 	subs := partition.Split(space, k)
-	if workers > len(subs) {
-		workers = len(subs)
-	}
+	workers = min(workers, len(subs))
 	wopts := opts
 	wopts.Workers = 0
 	wopts.Budget = bud
 	wopts.Budget.Ctx = ctx
 
-	if sched := opts.Runtime.S(); sched != nil {
-		p.sched = true
-		p.cond = sync.NewCond(&p.mu)
-		var pending atomic.Int64
-		pending.Store(int64(len(subs)))
-		for i := range subs {
-			sched.Submit(opts.Runtime.Tenant, func() {
-				if ctx.Err() == nil {
-					it := newKindIterator(restrictFormula(f, space, subs[i]), space, wopts, eng)
-					for {
-						c, ok := it.Next()
-						if !ok {
-							p.record(it.Reason())
-							break
-						}
-						p.push(c)
-					}
-					p.fold(it.Stats())
-					it.Close()
-				}
-				if pending.Add(-1) == 0 {
-					p.mu.Lock()
-					p.closed = true
-					p.mu.Unlock()
-					p.cond.Broadcast()
-				}
-			})
-		}
-		return p
+	run, stop := opts.Runtime.Scheduled(workers)
+	p.stopSched = stop
+	if run != opts.Runtime {
+		// A private scheduler's executors serve this iterator alone, so
+		// they may block: bound the buffer, and wake a job blocked on it
+		// when the run is cancelled.
+		p.limit = 4 * workers
+		context.AfterFunc(ctx, func() {
+			p.mu.Lock()
+			p.mu.Unlock()
+			p.cond.Broadcast()
+		})
 	}
-
-	feed := make(chan int)
-	go func() {
-		defer close(feed)
-		for i := range subs {
-			select {
-			case feed <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range feed {
-				it := newKindIterator(restrictFormula(f, space, subs[i]), space, wopts, eng)
-				for {
-					c, ok := it.Next()
-					if !ok {
-						p.record(it.Reason())
-						break
-					}
-					select {
-					case p.ch <- c:
-					case <-ctx.Done():
-						// Cancelled while blocked on a full stream: record it, or
-						// a consumer that drains the buffered cubes would read the
-						// truncated enumeration as complete (Reason stays None when
-						// a sibling's budget abort cancelled us first — the CAS in
-						// record keeps the first reason).
-						p.record(budget.Cancelled)
-						p.fold(it.Stats())
-						it.Close()
-						return
-					}
+	var pending atomic.Int64
+	pending.Store(int64(len(subs)))
+	submitSubcubes(run, len(subs), func(i int) {
+		if r := budget.OfContext(ctx); r != budget.None {
+			p.record(r)
+		} else {
+			it := newKindIterator(restrictFormula(f, space, subs[i]), space, wopts, eng)
+			for {
+				c, ok := it.Next()
+				if !ok {
+					p.record(it.Reason())
+					break
 				}
-				p.fold(it.Stats())
-				it.Close()
-				if ctx.Err() != nil {
-					return
+				if !p.push(ctx, c) {
+					// Stopped or cancelled while streaming: record it, or
+					// a consumer that drains the buffered cubes would read
+					// the truncated enumeration as complete.
+					p.record(budget.OfContext(ctx))
+					break
 				}
 			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(p.ch)
-	}()
+			p.fold(it.Stats())
+			it.Close()
+		}
+		if pending.Add(-1) == 0 {
+			p.mu.Lock()
+			p.closed = true
+			p.mu.Unlock()
+			p.cond.Broadcast()
+		}
+	})
 	return p
 }
 
 // record stores the first abort reason and cancels the siblings: one
-// tripped budget stops the whole pool promptly (matching
+// tripped budget stops every job promptly (matching
 // enumerateParallel's first-abort-cancels-all semantics) instead of
-// letting the remaining workers keep burning their own budgets.
+// letting the remaining jobs keep burning their own budgets.
 func (p *ParallelIterator) record(r budget.Reason) {
 	if r != budget.None && p.reason.CompareAndSwap(0, int32(r)) {
 		p.cancel()
@@ -363,40 +313,29 @@ func (p *ParallelIterator) record(r budget.Reason) {
 func (p *ParallelIterator) fold(s Stats) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.stats.Solutions += s.Solutions
-	p.stats.Cubes += s.Cubes
-	p.stats.BlockingClauses += s.BlockingClauses
-	p.stats.BlockingLits += s.BlockingLits
-	p.stats.LiftedFree += s.LiftedFree
-	p.stats.PeakLearnts += s.PeakLearnts
-	p.stats.PeakLearntBytes += s.PeakLearntBytes
-	p.stats.ArenaBytes += s.ArenaBytes
-	p.stats.LearntsCore += s.LearntsCore
-	p.stats.LearntsTier2 += s.LearntsTier2
-	p.stats.LearntsLocal += s.LearntsLocal
-	p.stats.Decisions += s.Decisions
-	p.stats.Propagations += s.Propagations
-	p.stats.Conflicts += s.Conflicts
+	addStats(&p.stats, s)
 }
 
-// push appends a cube to the scheduler-mode buffer and wakes a consumer.
-func (p *ParallelIterator) push(c cube.Cube) {
+// push hands a cube to the consumer, first waiting for room when the
+// buffer is bounded. It reports false once the consumer stopped or the
+// run was cancelled.
+func (p *ParallelIterator) push(ctx context.Context, c cube.Cube) bool {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.limit > 0 && len(p.buf)-p.bufHead >= p.limit && !p.stopped && ctx.Err() == nil {
+		p.cond.Wait()
+	}
+	if p.stopped || ctx.Err() != nil {
+		return false
+	}
 	p.buf = append(p.buf, c)
-	p.mu.Unlock()
-	p.cond.Signal()
+	p.cond.Broadcast()
+	return true
 }
 
-// Next returns the next solution cube, or ok=false once every worker has
-// drained its subcubes (or Stop/a budget cut them short).
+// Next returns the next solution cube, or ok=false once every job has
+// drained its subcube (or Stop/a budget cut them short).
 func (p *ParallelIterator) Next() (cube.Cube, bool) {
-	if !p.sched {
-		c, ok := <-p.ch
-		if !ok {
-			p.done.Store(true)
-		}
-		return c, ok
-	}
 	p.mu.Lock()
 	for p.bufHead >= len(p.buf) && !p.closed && !p.stopped {
 		p.cond.Wait()
@@ -405,33 +344,42 @@ func (p *ParallelIterator) Next() (cube.Cube, bool) {
 		c := p.buf[p.bufHead]
 		p.buf[p.bufHead] = nil
 		p.bufHead++
+		if p.bufHead == len(p.buf) {
+			p.buf, p.bufHead = p.buf[:0], 0
+		}
 		p.mu.Unlock()
+		p.cond.Broadcast() // room for a job blocked on a full buffer
 		return c, true
 	}
 	p.mu.Unlock()
-	p.done.Store(true)
+	p.finish()
 	return nil, false
 }
 
-// Stop cancels the workers and drains the stream. Safe to call more than
-// once and after exhaustion.
+// Stop cancels the jobs and ends the stream; on a private scheduler it
+// returns once every job has. Safe to call more than once and after
+// exhaustion.
 func (p *ParallelIterator) Stop() {
 	p.cancel()
-	if p.sched {
-		p.mu.Lock()
-		p.stopped = true
-		p.mu.Unlock()
-		p.cond.Broadcast()
-		p.done.Store(true)
-		return
-	}
-	for range p.ch {
-	}
-	p.done.Store(true)
+	p.mu.Lock()
+	p.stopped = true
+	p.mu.Unlock()
+	p.cond.Broadcast()
+	p.finish()
 }
 
-// Close ends the iteration; the workers (or scheduler jobs) release
-// their per-subcube iterators — and pooled solvers — as they wind down.
+// finish marks the stream ended and, once, stops a private scheduler
+// and releases the context.
+func (p *ParallelIterator) finish() {
+	p.done.Store(true)
+	p.finishing.Do(func() {
+		p.stopSched()
+		p.cancel()
+	})
+}
+
+// Close ends the iteration; the scheduler jobs release their
+// per-subcube iterators — and pooled solvers — as they wind down.
 // It makes ParallelIterator satisfy the same closeable-iterator surface
 // as the sequential iterators.
 func (p *ParallelIterator) Close() { p.Stop() }

@@ -16,6 +16,7 @@ package budget
 
 import (
 	"context"
+	"errors"
 	"time"
 )
 
@@ -28,7 +29,8 @@ const (
 	None Reason = iota
 	// Cancelled: the budget's context was cancelled.
 	Cancelled
-	// Deadline: the wall-clock deadline passed.
+	// Deadline: the wall-clock deadline (the budget's own, or its
+	// context's) passed.
 	Deadline
 	// Conflicts: the SAT conflict cap was reached.
 	Conflicts
@@ -58,6 +60,19 @@ func (r Reason) String() string {
 		return "bdd-node-limit"
 	default:
 		return "reason(?)"
+	}
+}
+
+// OfContext reports why ctx is done: None while it is live, Deadline
+// when its deadline passed, Cancelled otherwise.
+func OfContext(ctx context.Context) Reason {
+	switch err := ctx.Err(); {
+	case err == nil:
+		return None
+	case errors.Is(err, context.DeadlineExceeded):
+		return Deadline
+	default:
+		return Cancelled
 	}
 }
 
@@ -142,6 +157,7 @@ const pollPeriod = 256
 // amortized cost of a counter increment per call. It is not safe for
 // concurrent use; give each goroutine its own checker via Start.
 type Checker struct {
+	ctx      context.Context
 	done     <-chan struct{}
 	deadline time.Time
 	tick     uint32
@@ -155,7 +171,7 @@ type Checker struct {
 // performs one immediate check, so an already-expired deadline or
 // already-cancelled context trips on the first Poll.
 func (b Budget) Start() *Checker {
-	c := &Checker{deadline: b.Deadline}
+	c := &Checker{ctx: b.Ctx, deadline: b.Deadline}
 	if b.Ctx != nil {
 		c.done = b.Ctx.Done()
 	}
@@ -196,7 +212,7 @@ func (c *Checker) check() Reason {
 	if c.done != nil {
 		select {
 		case <-c.done:
-			c.reason = Cancelled
+			c.reason = OfContext(c.ctx)
 			return c.reason
 		default:
 		}

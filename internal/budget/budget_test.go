@@ -117,3 +117,25 @@ func TestDeadlineTripsViaPoll(t *testing.T) {
 	}
 	t.Fatal("deadline never tripped through amortized polling")
 }
+
+// TestExpiredContextDeadlineTrips: a context past its deadline reports
+// Deadline — from the checker and from OfContext — like a budget past
+// its own Deadline; a cancelled context reports Cancelled.
+func TestExpiredContextDeadlineTrips(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if r := (Budget{Ctx: ctx}).Start().Poll(); r != Deadline {
+		t.Fatalf("expired context deadline: Poll = %v, want Deadline", r)
+	}
+	if r := OfContext(ctx); r != Deadline {
+		t.Fatalf("OfContext(expired) = %v, want Deadline", r)
+	}
+	live, stop := context.WithCancel(context.Background())
+	if r := OfContext(live); r != None {
+		t.Fatalf("OfContext(live) = %v, want None", r)
+	}
+	stop()
+	if r := OfContext(live); r != Cancelled {
+		t.Fatalf("OfContext(cancelled) = %v, want Cancelled", r)
+	}
+}

@@ -1,32 +1,30 @@
-// Package pool runs the success-driven enumerator (internal/core) across
-// a work-stealing worker pool. The projection space is split into
-// guiding-path subcubes (internal/partition); each worker owns a private
-// core.Enumerator — its own solver trail, learned clauses, memo table,
-// and single-threaded BDD manager — and drains a lock-free deque of
-// subcubes, re-splitting any subcube whose enumeration exceeds the work
+// Package pool runs the success-driven enumerator (internal/core) in
+// parallel. The projection space is split into guiding-path subcubes
+// (internal/partition), and each subcube is one job on a
+// runtime.Scheduler. A job borrows a core.Enumerator — its own solver
+// trail, learned clauses, memo table, and single-threaded BDD manager —
+// and re-splits its subcube when the enumeration exceeds the work
 // threshold. Per-subcube solution sets are exported as immutable BDD
-// snapshots and published over a channel together with the search-counter
-// deltas; the merging thread rebuilds the union in a parent manager.
-// Because the subcubes are pairwise disjoint, the merge is a pure Or with
-// no cancellation, and BDD canonicity makes the merged set — and the ISOP
-// cover extracted from it — bit-identical to the sequential enumeration
-// for every worker count.
+// snapshots and published over a channel together with the
+// search-counter deltas; the merge loop rebuilds the union in a parent
+// manager. Because the subcubes are pairwise disjoint, the merge is a
+// pure Or with no cancellation, and BDD canonicity makes the merged set
+// — and the ISOP cover extracted from it — bit-identical to the
+// sequential enumeration for every worker count.
 //
 // Abort protocol: the shared budget.Budget stays the single source of
-// truth. Each worker polls its own checker; the first abort records the
-// reason and cancels a context shared by all workers, so siblings stop at
-// their next poll. Partial per-subcube sets still merge, and the result
-// reports Aborted with the first reason — a sound under-approximation,
-// exactly like the sequential engine.
+// truth. Each enumerator polls its own checker; the first abort records
+// the reason and cancels a context shared by all jobs, so siblings stop
+// at their next poll and queued jobs are skipped. Partial per-subcube
+// sets still merge, and the result reports Aborted with the first
+// reason — a sound under-approximation, exactly like the sequential
+// engine.
 package pool
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"context"
+	"runtime"
+	"sync/atomic"
 
 	"allsatpre/internal/allsat"
 	"allsatpre/internal/bdd"
@@ -34,7 +32,6 @@ import (
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/core"
 	"allsatpre/internal/cube"
-	"allsatpre/internal/lit"
 	"allsatpre/internal/partition"
 	rt "allsatpre/internal/runtime"
 	"allsatpre/internal/stats"
@@ -67,9 +64,8 @@ type Options struct {
 	Stats *stats.Registry
 	// Runtime, when non-nil, supplies warm solver/manager pairs from its
 	// pool and — when it also carries a scheduler — runs the subcube
-	// jobs on the shared server-wide executors instead of spawning
-	// request-private worker goroutines. Nil keeps the classic
-	// fresh-build, private-goroutine behavior.
+	// jobs on the shared server-wide executors. Without a scheduler each
+	// run starts a private one sized to Workers and stops it on return.
 	Runtime *rt.Runtime
 }
 
@@ -80,8 +76,6 @@ type PoolStats struct {
 	Workers int
 	// Subcubes counts work units processed, including pruned ones.
 	Subcubes uint64
-	// Steals counts tasks taken from another worker's deque.
-	Steals uint64
 	// Splits counts dynamic re-splits (each replaces one subcube by two).
 	Splits uint64
 	// UnsatSubcubes counts subcubes whose assumptions conflicted with the
@@ -90,10 +84,8 @@ type PoolStats struct {
 	// Pruned counts subcubes skipped because a recorded failed-assumption
 	// pattern subsumed them.
 	Pruned uint64
-	// Idle is the total time workers spent waiting for work.
-	Idle time.Duration
 	// MaxWorkerDecisions/MinWorkerDecisions expose load imbalance: the
-	// decision counts of the busiest and laziest workers.
+	// decision counts of the busiest and laziest enumerators.
 	MaxWorkerDecisions uint64
 	MinWorkerDecisions uint64
 }
@@ -105,9 +97,9 @@ type Result struct {
 	Manager *bdd.Manager
 	// Set is the union of the per-subcube solution sets.
 	Set bdd.Ref
-	// Stats sums the workers' search counters; BDDNodes totals every
-	// manager (workers + parent) as the run's memory proxy, and Kernel
-	// merges all kernel counters.
+	// Stats sums the subcube jobs' search counters; BDDNodes totals
+	// every manager (enumerators + parent) as the run's memory proxy, and
+	// Kernel merges all kernel counters.
 	Stats allsat.Stats
 	// Pool holds the pool's own counters.
 	Pool PoolStats
@@ -117,7 +109,7 @@ type Result struct {
 	Aborted bool
 	Reason  budget.Reason
 	// rt is the runtime the parent manager was acquired from, so Release
-	// can return it (nil for classic runs and Session results, where
+	// can return it (nil for pool-less runs and Session results, where
 	// Release degrades to clearing the references).
 	rt *rt.Runtime
 }
@@ -136,39 +128,6 @@ func (r *Result) Release() {
 	r.rt.P().ReleaseManager(m)
 }
 
-// Task words pack a subcube into one uint64 for the lock-free deque:
-// the path in the low partition.MaxDepth bits, the depth above.
-func encodeTask(s partition.Subcube) uint64 {
-	return s.Path | uint64(s.Depth)<<partition.MaxDepth
-}
-
-func decodeTask(w uint64) partition.Subcube {
-	return partition.Subcube{
-		Path:  w & (1<<partition.MaxDepth - 1),
-		Depth: int(w >> partition.MaxDepth),
-	}
-}
-
-// mergeMsg is one channel message from a worker: a per-subcube result
-// (snapshot + counter deltas), or the worker's exit report.
-type mergeMsg struct {
-	snap  *bdd.Snapshot
-	stats allsat.Stats
-	exit  *workerExit
-}
-
-type workerExit struct {
-	kernel    bdd.KernelStats
-	nodes     int
-	decisions uint64
-	idle      time.Duration
-	steals    uint64
-	splits    uint64
-	unsat     uint64
-	pruned    uint64
-	done      uint64
-}
-
 // Enumerate runs the pooled enumeration and merges the per-subcube sets
 // into a fresh parent manager. With one worker (or an empty projection
 // space, where there is nothing to partition) it degrades to the plain
@@ -184,186 +143,62 @@ func Enumerate(f *cnf.Formula, space *cube.Space, opts Options) *Result {
 		return sequential(f, space, opts)
 	}
 
-	// Workers share one cancellation context so the first abort stops the
-	// siblings; the global decision cap moves into a shared atomic polled
-	// through the enumerator's OnDecision hook.
+	// Jobs share one cancellation context so the first abort stops the
+	// siblings.
 	base := context.Background()
 	if opts.Budget.Ctx != nil {
 		base = opts.Budget.Ctx
 	}
 	ctx, cancel := context.WithCancel(base)
 	defer cancel()
-	maxDec := opts.Budget.MergeDecisions(opts.Core.MaxDecisions)
-	co := opts.Core
-	co.Budget = opts.Budget
-	co.Budget.Ctx = ctx
+	b := opts.Budget
+	b.Ctx = ctx
+	k, thresh := opts.split(space, workers)
+
+	run, stop := opts.Runtime.Scheduled(workers)
+	defer stop()
+	r := newRun(space, workers, thresh, run, cancel)
+	r.f = f
+	r.core = shareDecisions(opts.Core, b, new(atomic.Uint64))
+	mergeDead := false
+	man := opts.Runtime.P().AcquireManager(space.Vars(), 0)
+	res := r.run(partition.Split(space, k), man, opts.Budget.MaxBDDNodes, &mergeDead)
+	res.rt = opts.Runtime
+	publish(opts.Stats, res.Pool)
+	return res
+}
+
+// split resolves the static split depth and the dynamic re-split
+// threshold for the given worker count.
+func (o Options) split(space *cube.Space, workers int) (int, uint64) {
+	k := o.PrefixDepth
+	if k <= 0 {
+		k = partition.PrefixDepth(space, workers, 0)
+	}
+	thresh := o.SplitThreshold
+	if thresh == 0 {
+		thresh = DefaultSplitThreshold
+	}
+	return k, thresh
+}
+
+// shareDecisions returns the enumerator options for a parallel run under
+// budget b: the run's decision cap moves into the shared counter n,
+// polled through the OnDecision hook, so it holds across all workers.
+func shareDecisions(co core.Options, b budget.Budget, n *atomic.Uint64) core.Options {
+	maxDec := b.MergeDecisions(co.MaxDecisions)
+	co.Budget = b
 	co.Budget.MaxDecisions = 0
 	co.MaxDecisions = 0
-	var decisions atomic.Uint64
 	if maxDec > 0 {
 		co.OnDecision = func() budget.Reason {
-			if decisions.Add(1) > maxDec {
+			if n.Add(1) > maxDec {
 				return budget.Decisions
 			}
 			return budget.None
 		}
 	}
-
-	k := opts.PrefixDepth
-	if k <= 0 {
-		k = partition.PrefixDepth(space, workers, 0)
-	}
-	tasks := partition.Split(space, k)
-	thresh := opts.SplitThreshold
-	if thresh == 0 {
-		thresh = DefaultSplitThreshold
-	}
-
-	var abortReason atomic.Int32
-	recordAbort := func(r budget.Reason) {
-		if r != budget.None && abortReason.CompareAndSwap(0, int32(r)) {
-			cancel()
-		}
-	}
-	aborted := func() bool { return abortReason.Load() != 0 }
-
-	// Failed-assumption patterns shared across workers: a subcube whose
-	// assumptions already failed prunes every later subcube it subsumes.
-	var failMu sync.Mutex
-	var fails []partition.FailedPattern
-	addFail := func(failed []lit.Lit) {
-		if p, ok := partition.PatternOf(space, failed); ok {
-			failMu.Lock()
-			fails = append(fails, p)
-			failMu.Unlock()
-		}
-	}
-	prunedBy := func(s partition.Subcube) bool {
-		failMu.Lock()
-		defer failMu.Unlock()
-		for _, p := range fails {
-			if p.Prunes(s) {
-				return true
-			}
-		}
-		return false
-	}
-
-	msgs := make(chan mergeMsg, workers*4)
-	if opts.Runtime.S() != nil {
-		// Scheduler mode: one job per subcube on the shared executors,
-		// warm enumerators handed out through a per-request stash capped
-		// at the worker count. complete() closes msgs when the last job
-		// finishes, so the merge loop below is unchanged.
-		r := &schedRun{
-			f:           f,
-			space:       space,
-			core:        co,
-			thresh:      thresh,
-			rt:          opts.Runtime,
-			stash:       make(chan *core.Enumerator, workers),
-			msgs:        msgs,
-			recordAbort: recordAbort,
-			aborted:     aborted,
-			prunedBy:    prunedBy,
-			addFail:     addFail,
-		}
-		r.start(tasks)
-	} else {
-		deques := make([]*deque, workers)
-		for i := range deques {
-			deques[i] = newDeque()
-		}
-		for i, t := range tasks {
-			deques[i%workers].push(encodeTask(t))
-		}
-		pending := new(atomic.Int64)
-		pending.Store(int64(len(tasks)))
-		var wg sync.WaitGroup
-		for id := 0; id < workers; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				w := &worker{
-					id:          id,
-					f:           f,
-					space:       space,
-					core:        co,
-					rt:          opts.Runtime,
-					thresh:      thresh,
-					deques:      deques,
-					pending:     pending,
-					msgs:        msgs,
-					recordAbort: recordAbort,
-					aborted:     aborted,
-					prunedBy:    prunedBy,
-					addFail:     addFail,
-				}
-				w.run()
-			}(id)
-		}
-		go func() {
-			wg.Wait()
-			close(msgs)
-		}()
-	}
-
-	// Merge in this goroutine: disjoint subcube sets, so a pure Or. The
-	// parent manager honors the node cap by checking after each import —
-	// once it trips, later snapshots are dropped (sound: the set only
-	// shrinks) and the run reports the abort.
-	man := opts.Runtime.P().AcquireManager(space.Vars(), 0)
-	set := bdd.False
-	mergeDead := false
-	var total allsat.Stats
-	var kernel bdd.KernelStats
-	nodesSum := 0
-	pst := PoolStats{Workers: workers, MinWorkerDecisions: ^uint64(0)}
-	for m := range msgs {
-		if m.exit != nil {
-			kernel.Merge(m.exit.kernel)
-			nodesSum += m.exit.nodes
-			pst.Steals += m.exit.steals
-			pst.Splits += m.exit.splits
-			pst.UnsatSubcubes += m.exit.unsat
-			pst.Pruned += m.exit.pruned
-			pst.Subcubes += m.exit.done
-			pst.Idle += m.exit.idle
-			if m.exit.decisions > pst.MaxWorkerDecisions {
-				pst.MaxWorkerDecisions = m.exit.decisions
-			}
-			if m.exit.decisions < pst.MinWorkerDecisions {
-				pst.MinWorkerDecisions = m.exit.decisions
-			}
-			continue
-		}
-		addCounters(&total, m.stats)
-		if m.snap != nil && !mergeDead {
-			set = man.Or(set, man.Import(m.snap))
-			if cap := opts.Budget.MaxBDDNodes; cap > 0 && man.NumNodes() >= cap {
-				recordAbort(budget.Nodes)
-				mergeDead = true
-			}
-		}
-	}
-	if pst.MinWorkerDecisions == ^uint64(0) {
-		pst.MinWorkerDecisions = 0
-	}
-
-	kernel.Merge(man.Kernel())
-	total.Kernel = kernel
-	total.BDDNodes = nodesSum + man.NumNodes()
-	res := &Result{
-		Manager: man,
-		Set:     set,
-		Stats:   total,
-		Pool:    pst,
-		Aborted: abortReason.Load() != 0,
-		Reason:  budget.Reason(abortReason.Load()),
-		rt:      opts.Runtime,
-	}
-	publish(opts.Stats, res.Pool)
-	return res
+	return co
 }
 
 // sequential is the one-worker degenerate case: the plain enumerator,
@@ -389,121 +224,6 @@ func sequential(f *cnf.Formula, space *cube.Space, opts Options) *Result {
 	return res
 }
 
-type worker struct {
-	id    int
-	f     *cnf.Formula
-	space *cube.Space
-	core  core.Options
-	// e, when non-nil, is a persistent enumerator reused across runs (a
-	// pool.Session worker); otherwise a fresh one is built from f/core.
-	e *core.Enumerator
-	// base literals are assumed before every subcube's guiding-path
-	// assumptions (a Session's per-step activation literal).
-	base []lit.Lit
-	// rt, when non-nil and e is nil, supplies the fresh enumerator's
-	// manager from the warm pool and takes it back at exit.
-	rt          *rt.Runtime
-	thresh      uint64
-	deques      []*deque
-	pending     *atomic.Int64
-	msgs        chan<- mergeMsg
-	recordAbort func(budget.Reason)
-	aborted     func() bool
-	prunedBy    func(partition.Subcube) bool
-	addFail     func([]lit.Lit)
-}
-
-func (w *worker) run() {
-	e := w.e
-	if e == nil {
-		co := w.core
-		if p := w.rt.P(); p != nil {
-			co.Manager = p.AcquireManager(w.space.Vars(), 0)
-		}
-		e = core.New(w.f, w.space, co)
-	}
-	decBase := e.Stats().Decisions
-	my := w.deques[w.id]
-	var exit workerExit
-	var buf []lit.Lit
-	for !w.aborted() {
-		t, ok := my.pop()
-		if !ok {
-			for off := 1; off < len(w.deques) && !ok; off++ {
-				t, ok = w.deques[(w.id+off)%len(w.deques)].steal()
-			}
-			if ok {
-				exit.steals++
-			}
-		}
-		if !ok {
-			if w.pending.Load() == 0 {
-				break
-			}
-			t0 := time.Now()
-			runtime.Gosched()
-			time.Sleep(20 * time.Microsecond)
-			exit.idle += time.Since(t0)
-			continue
-		}
-		sc := decodeTask(t)
-		exit.done++
-		if w.prunedBy(sc) {
-			exit.pruned++
-			w.pending.Add(-1)
-			continue
-		}
-		buf = sc.Assumptions(w.space, append(buf[:0], w.base...))
-		limit := w.thresh
-		if _, _, can := sc.Children(w.space); !can {
-			limit = 0 // cannot split further: run the subcube to completion
-		}
-		sub := e.EnumerateUnder(buf, limit)
-		switch sub.Status {
-		case core.SubSplit:
-			lo, hi, _ := sc.Children(w.space)
-			my.push(encodeTask(hi))
-			my.push(encodeTask(lo))
-			w.pending.Add(1) // two children in, one parent out
-			exit.splits++
-		case core.SubSAT:
-			var snap *bdd.Snapshot
-			if sub.Set != bdd.False {
-				snap = e.Manager().Export(sub.Set)
-			}
-			w.msgs <- mergeMsg{snap: snap, stats: sub.Stats}
-			w.pending.Add(-1)
-		case core.SubUnsatAssumps:
-			w.addFail(sub.Failed)
-			exit.unsat++
-			w.msgs <- mergeMsg{stats: sub.Stats}
-			w.pending.Add(-1)
-		case core.SubGlobalUnsat:
-			// UNSAT independent of assumptions: the empty pattern subsumes
-			// (and prunes) every remaining subcube.
-			w.addFail(nil)
-			w.msgs <- mergeMsg{stats: sub.Stats}
-			w.pending.Add(-1)
-		}
-		if sub.Aborted {
-			// Partial set already published; stop and let the shared
-			// context stop the siblings.
-			w.recordAbort(sub.Reason)
-			break
-		}
-	}
-	exit.kernel = e.Manager().Kernel()
-	exit.nodes = e.Manager().NumNodes()
-	exit.decisions = e.Stats().Decisions - decBase
-	w.msgs <- mergeMsg{exit: &exit}
-	if w.e == nil {
-		// The enumerator was built for this run: its manager can go back
-		// to the warm pool now that the exit report copied its counters
-		// (snapshots are deep copies, so the merge never touches it).
-		w.rt.P().ReleaseManager(e.Manager())
-	}
-}
-
 // EnumerateToResult converts a pooled run to the shared allsat result
 // shape, extracting the ISOP cover from the merged set exactly like the
 // sequential core.EnumerateToResult.
@@ -523,7 +243,7 @@ func EnumerateToResult(f *cnf.Formula, space *cube.Space, opts Options) *allsat.
 }
 
 // addCounters accumulates the monotone counter fields (gauge-like fields
-// — BDDNodes, Kernel — are aggregated from the worker exit reports).
+// — BDDNodes, Kernel — are aggregated from the enumerators at the end).
 func addCounters(dst *allsat.Stats, s allsat.Stats) {
 	dst.Solutions += s.Solutions
 	dst.Cubes += s.Cubes
@@ -546,11 +266,9 @@ func publish(reg *stats.Registry, p PoolStats) {
 	}
 	reg.SetGauge("pool.workers", int64(p.Workers))
 	reg.Counter("pool.subcubes").Add(p.Subcubes)
-	reg.Counter("pool.steals").Add(p.Steals)
 	reg.Counter("pool.splits").Add(p.Splits)
 	reg.Counter("pool.unsat-subcubes").Add(p.UnsatSubcubes)
 	reg.Counter("pool.pruned-subcubes").Add(p.Pruned)
-	reg.AddDuration("pool.idle", p.Idle)
 	reg.SetGauge("pool.max-worker-decisions", int64(p.MaxWorkerDecisions))
 	reg.SetGauge("pool.min-worker-decisions", int64(p.MinWorkerDecisions))
 	if p.MaxWorkerDecisions > 0 {

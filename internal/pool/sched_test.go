@@ -2,8 +2,11 @@ package pool
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
+	"allsatpre/internal/budget"
 	"allsatpre/internal/core"
 	rt "allsatpre/internal/runtime"
 	"allsatpre/internal/stats"
@@ -127,4 +130,55 @@ func TestSchedSharedExecutorsTwoRequests(t *testing.T) {
 			t.Fatal(msg)
 		}
 	}
+}
+
+// waitGoroutines polls until the goroutine count returns to baseline.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines stuck at %d, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPrivateSchedulerLeavesNoGoroutines: without a runtime, Enumerate
+// and Session.Run run on a private scheduler that must be gone when the
+// call returns, aborted runs included.
+func TestPrivateSchedulerLeavesNoGoroutines(t *testing.T) {
+	rng := rand.New(rand.NewSource(9009))
+	f := randomFormula(rng, 10, 20, 3)
+	space := projSpace(0, 1, 2, 3, 4, 5)
+	want := core.EnumerateToResult(f.Clone(), space, core.DefaultOptions())
+	baseline := runtime.NumGoroutine()
+
+	got := EnumerateToResult(f.Clone(), space, Options{Workers: 4, Core: core.DefaultOptions()})
+	if !coversIdentical(got.Cover, want.Cover) {
+		t.Fatalf("cover differs\n got: %v\nwant: %v", got.Cover, want.Cover)
+	}
+	waitGoroutines(t, baseline)
+
+	r := Enumerate(f.Clone(), space, Options{
+		Workers: 4,
+		Budget:  budget.Budget{Deadline: time.Now().Add(-time.Hour)},
+		Core:    core.DefaultOptions(),
+	})
+	if !r.Aborted {
+		t.Fatal("expired deadline did not abort")
+	}
+	waitGoroutines(t, baseline)
+
+	s := NewSession(f.Clone(), space, Options{Workers: 4, Core: core.DefaultOptions()})
+	sr := s.Run(nil)
+	if sr.Aborted || sr.Manager.SatCount(sr.Set).Cmp(want.Count) != 0 {
+		t.Fatalf("session run: aborted=%v count %v, want %v",
+			sr.Aborted, sr.Manager.SatCount(sr.Set), want.Count)
+	}
+	if sr.Pool.MaxWorkerDecisions < sr.Pool.MinWorkerDecisions {
+		t.Fatalf("worker decisions max %d < min %d", sr.Pool.MaxWorkerDecisions, sr.Pool.MinWorkerDecisions)
+	}
+	s.Close()
+	waitGoroutines(t, baseline)
 }

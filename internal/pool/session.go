@@ -12,10 +12,8 @@ package pool
 import (
 	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
-	"allsatpre/internal/allsat"
 	"allsatpre/internal/bdd"
 	"allsatpre/internal/budget"
 	"allsatpre/internal/cnf"
@@ -23,6 +21,7 @@ import (
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
 	"allsatpre/internal/partition"
+	rt "allsatpre/internal/runtime"
 )
 
 // Session owns a set of persistent enumerators and their merge manager.
@@ -83,29 +82,8 @@ func NewSession(f *cnf.Formula, space *cube.Space, opts Options) *Session {
 		budget:  b,
 		cancel:  cancel,
 	}
-	s.thresh = opts.SplitThreshold
-	if s.thresh == 0 {
-		s.thresh = DefaultSplitThreshold
-	}
-	s.prefix = opts.PrefixDepth
-	if s.prefix <= 0 {
-		s.prefix = partition.PrefixDepth(space, workers, 0)
-	}
-
-	co := opts.Core
-	co.Budget = b
-	maxDec := b.MergeDecisions(co.MaxDecisions)
-	co.Budget.MaxDecisions = 0
-	co.MaxDecisions = 0
-	if maxDec > 0 {
-		dec := &s.decisions
-		co.OnDecision = func() budget.Reason {
-			if dec.Add(1) > maxDec {
-				return budget.Decisions
-			}
-			return budget.None
-		}
-	}
+	s.prefix, s.thresh = opts.split(space, workers)
+	co := shareDecisions(opts.Core, b, &s.decisions)
 	s.es = make([]*core.Enumerator, workers)
 	for i := range s.es {
 		s.es[i] = core.New(f, space, co)
@@ -245,141 +223,27 @@ func (s *Session) runSequential(base []lit.Lit) *Result {
 	}
 }
 
+// runParallel runs the subcubes on a private scheduler (sessions take
+// no runtime), with the stash pre-filled by the persistent enumerators.
+// Every abort reason here is a session-global budget condition
+// (deadline, cancellation, decision/conflict/node caps), so the first
+// abort ends not just this run but the session: it cancels the session
+// context, and the enumerators' own abort state is sticky anyway.
 func (s *Session) runParallel(base []lit.Lit) *Result {
-	tasks := partition.Split(s.space, s.prefix)
-	deques := make([]*deque, s.workers)
-	for i := range deques {
-		deques[i] = newDeque()
-	}
-	for i, t := range tasks {
-		deques[i%s.workers].push(encodeTask(t))
-	}
-	var pending atomic.Int64
-	pending.Store(int64(len(tasks)))
-
-	// Every abort reason here is a session-global budget condition
-	// (deadline, cancellation, decision/conflict/node caps), so the
-	// first abort ends not just this run but the session: cancelling the
-	// session context stops the siblings promptly, and the enumerators'
-	// own abort state is sticky anyway.
-	var abortReason atomic.Int32
-	recordAbort := func(r budget.Reason) {
-		if r != budget.None && abortReason.CompareAndSwap(0, int32(r)) {
-			s.cancel()
-		}
-	}
-	aborted := func() bool { return abortReason.Load() != 0 }
-
-	// Failed-assumption patterns are valid only under the current target:
-	// scoped to this run. Base literals (activation vars, outside the
-	// projection space) are stripped before pattern extraction — the base
-	// holds for the entire run, so a conflict "base + prefix" prunes
-	// every subcube containing the prefix.
-	isBase := make(map[lit.Var]bool, len(base))
+	run, stop := (*rt.Runtime)(nil).Scheduled(s.workers)
+	defer stop()
+	r := newRun(s.space, s.workers, s.thresh, run, s.cancel)
+	r.base = base
+	r.isBase = make(map[lit.Var]bool, len(base))
 	for _, l := range base {
-		isBase[l.Var()] = true
+		r.isBase[l.Var()] = true
 	}
-	var failMu sync.Mutex
-	var fails []partition.FailedPattern
-	addFail := func(failed []lit.Lit) {
-		kept := failed[:0]
-		for _, l := range failed {
-			if !isBase[l.Var()] {
-				kept = append(kept, l)
-			}
-		}
-		if p, ok := partition.PatternOf(s.space, kept); ok {
-			failMu.Lock()
-			fails = append(fails, p)
-			failMu.Unlock()
-		}
+	r.persistent = true
+	for _, e := range s.es {
+		r.stash <- slot{e: e, decBase: e.Stats().Decisions}
 	}
-	prunedBy := func(sc partition.Subcube) bool {
-		failMu.Lock()
-		defer failMu.Unlock()
-		for _, p := range fails {
-			if p.Prunes(sc) {
-				return true
-			}
-		}
-		return false
-	}
-
-	msgs := make(chan mergeMsg, s.workers*4)
-	var wg sync.WaitGroup
-	for id := 0; id < s.workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			w := &worker{
-				id:          id,
-				e:           s.es[id],
-				base:        base,
-				space:       s.space,
-				thresh:      s.thresh,
-				deques:      deques,
-				pending:     &pending,
-				msgs:        msgs,
-				recordAbort: recordAbort,
-				aborted:     aborted,
-				prunedBy:    prunedBy,
-				addFail:     addFail,
-			}
-			w.run()
-		}(id)
-	}
-	go func() {
-		wg.Wait()
-		close(msgs)
-	}()
-
-	set := bdd.False
-	var total allsat.Stats
-	var kernel bdd.KernelStats
-	nodesSum := 0
-	pst := PoolStats{Workers: s.workers, MinWorkerDecisions: ^uint64(0)}
-	for m := range msgs {
-		if m.exit != nil {
-			kernel.Merge(m.exit.kernel)
-			nodesSum += m.exit.nodes
-			pst.Steals += m.exit.steals
-			pst.Splits += m.exit.splits
-			pst.UnsatSubcubes += m.exit.unsat
-			pst.Pruned += m.exit.pruned
-			pst.Subcubes += m.exit.done
-			pst.Idle += m.exit.idle
-			if m.exit.decisions > pst.MaxWorkerDecisions {
-				pst.MaxWorkerDecisions = m.exit.decisions
-			}
-			if m.exit.decisions < pst.MinWorkerDecisions {
-				pst.MinWorkerDecisions = m.exit.decisions
-			}
-			continue
-		}
-		addCounters(&total, m.stats)
-		if m.snap != nil && !s.mergeDead {
-			set = s.man.Or(set, s.man.Import(m.snap))
-			if cap := s.budget.MaxBDDNodes; cap > 0 && s.man.NumNodes() >= cap {
-				recordAbort(budget.Nodes)
-				// The parent manager is over its cap for good: no later
-				// run can merge either.
-				s.mergeDead = true
-			}
-		}
-	}
-	if pst.MinWorkerDecisions == ^uint64(0) {
-		pst.MinWorkerDecisions = 0
-	}
-
-	kernel.Merge(s.man.Kernel())
-	total.Kernel = kernel
-	total.BDDNodes = nodesSum + s.man.NumNodes()
-	return &Result{
-		Manager: s.man,
-		Set:     set,
-		Stats:   total,
-		Pool:    pst,
-		Aborted: abortReason.Load() != 0,
-		Reason:  budget.Reason(abortReason.Load()),
-	}
+	r.created.Store(int32(len(s.es)))
+	// A tripped merge cap latches in s.mergeDead: the parent manager is
+	// over it for good, so no later run can merge either.
+	return r.run(partition.Split(s.space, s.prefix), s.man, s.budget.MaxBDDNodes, &s.mergeDead)
 }

@@ -118,8 +118,8 @@ type Options struct {
 	Restrict cube.Cube
 	// Parallel, when > 1, computes the preimage with that many workers.
 	// The success-driven engine partitions the projection space into
-	// guiding-path subcubes drained by a work-stealing pool
-	// (internal/pool) whose merged BDD — and therefore ISOP cover — is
+	// guiding-path subcubes run as scheduler jobs by internal/pool,
+	// whose merged BDD — and therefore ISOP cover — is
 	// bit-identical to the sequential run; the blocking/lifting engines
 	// fan guiding-path subcubes over per-subcube solvers
 	// (allsat.Options.Workers); the BDD engine computes disjoint
@@ -172,8 +172,9 @@ type Options struct {
 	// free-list instead of being rebuilt per request, and — when it also
 	// carries a scheduler — the parallel engines run their subcube jobs
 	// on the server-wide executor pool under the runtime's tenant label.
-	// Results are bit-identical either way; nil keeps the classic
-	// build-per-request behavior. Incremental sessions ignore it (their
+	// Results are bit-identical either way; nil builds per request and
+	// runs parallel jobs on a private scheduler. Incremental sessions
+	// ignore it (their
 	// solvers persist across steps by design).
 	Runtime *rt.Runtime
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -191,4 +192,60 @@ func TestRuntimeNilSafe(t *testing.T) {
 	if r2.Tenant != "a" {
 		t.Fatal("WithTenant did not bind")
 	}
+}
+
+// TestSchedulerBatchOrder: a batch is queued in one step and dispatched
+// in the order given, ahead of the tenant's older jobs — even while
+// idle executors are ready to grab its first job mid-submission.
+func TestSchedulerBatchOrder(t *testing.T) {
+	s := NewScheduler(1, nil)
+	defer s.Close()
+
+	var mu sync.Mutex
+	var order []int
+	var wg sync.WaitGroup
+	job := func(i int) func() {
+		wg.Add(1)
+		return func() {
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			wg.Done()
+		}
+	}
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	s.Submit("t", func() { close(started); <-gate })
+	<-started
+	s.Submit("t", job(9))
+	s.Submit("t", job(0), job(1), job(2))
+	close(gate)
+	wg.Wait()
+	if want := []int{0, 1, 2, 9}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("dispatch order %v, want %v", order, want)
+	}
+}
+
+// TestScheduledPrivate: a runtime without a scheduler gets a private one
+// (keeping its pool and tenant) that the returned stop shuts down; a
+// runtime with one is returned as is.
+func TestScheduledPrivate(t *testing.T) {
+	pool := NewPool(PoolOptions{})
+	base := &Runtime{Pool: pool, Tenant: "a"}
+	run, stop := base.Scheduled(2)
+	if run == base || run.Sched == nil || run.Pool != pool || run.Tenant != "a" || base.Sched != nil {
+		t.Fatalf("private runtime %+v from %+v", run, base)
+	}
+	stop()
+	var none *Runtime
+	run, stop = none.Scheduled(1)
+	if run.Sched == nil || run.Pool != nil {
+		t.Fatalf("nil runtime: got %+v", run)
+	}
+	stop()
+	shared, stopShared := run.Scheduled(4)
+	if shared != run {
+		t.Fatal("a runtime with a scheduler must be used as is")
+	}
+	stopShared()
 }

@@ -75,9 +75,8 @@ type Config struct {
 	// pooled runtime entirely (every request rebuilds from scratch).
 	PoolBytes int64
 	// SchedWorkers sizes the server-wide executor pool that runs all
-	// requests' subcube jobs with per-tenant fair share. 0 selects
-	// MaxConcurrent; < 0 disables the shared scheduler (parallel
-	// requests then spawn private goroutines as before).
+	// requests' subcube jobs with per-tenant fair share. <= 0 selects
+	// MaxConcurrent.
 	SchedWorkers int
 	// TenantHeader names the request header carrying the tenant id used
 	// for fair-share scheduling and per-tenant fences. Empty selects
@@ -117,7 +116,7 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.SchedWorkers == 0 {
+	if c.SchedWorkers <= 0 {
 		c.SchedWorkers = c.MaxConcurrent
 	}
 	if c.TenantHeader == "" {
@@ -134,7 +133,7 @@ type Server struct {
 	cfg      Config
 	adm      *admission
 	store    *sessionStore
-	rt       *rt.Runtime // nil when both pool and scheduler are disabled
+	rt       *rt.Runtime     // never nil; Pool is nil when PoolBytes < 0
 	reg      *stats.Registry // never nil; a discard registry when unset
 	shutdown chan struct{}
 }
@@ -154,26 +153,18 @@ func New(cfg Config) *Server {
 	s.adm = newAdmission(cfg.MaxConcurrent, cfg.AdmissionWait, cfg.AdmissionQueue, reg)
 	s.store = newSessionStore(cfg.MaxSessions, reg)
 
-	// The pooled runtime: a warm solver/manager free-list plus the
-	// server-wide fair-share executor pool. Either half can be disabled
-	// independently; with both off s.rt stays nil and every engine runs
-	// its classic build-per-request path.
-	var run rt.Runtime
+	// The runtime: the server-wide fair-share executor pool every
+	// request's subcube jobs run on, plus a warm solver/manager free-list
+	// unless PoolBytes < 0 (every request then builds from scratch).
+	s.rt = &rt.Runtime{Sched: rt.NewScheduler(cfg.SchedWorkers, reg)}
 	if cfg.PoolBytes >= 0 {
-		run.Pool = rt.NewPool(rt.PoolOptions{MaxBytes: cfg.PoolBytes, Stats: reg})
-	}
-	if cfg.SchedWorkers > 0 {
-		run.Sched = rt.NewScheduler(cfg.SchedWorkers, reg)
-	}
-	if run.Pool != nil || run.Sched != nil {
-		s.rt = &run
+		s.rt.Pool = rt.NewPool(rt.PoolOptions{MaxBytes: cfg.PoolBytes, Stats: reg})
 	}
 	return s
 }
 
 // runtimeFor labels the shared runtime with the request's tenant id so
-// the scheduler can fair-share across tenants; nil when the pooled
-// runtime is disabled.
+// the scheduler can fair-share across tenants.
 func (s *Server) runtimeFor(r *http.Request) *rt.Runtime {
 	return s.rt.WithTenant(r.Header.Get(s.cfg.TenantHeader))
 }
@@ -230,9 +221,7 @@ func (s *Server) BeginShutdown() {
 // has stopped accepting requests.
 func (s *Server) Close() {
 	s.store.closeAll()
-	if sched := s.rt.S(); sched != nil {
-		sched.Close()
-	}
+	s.rt.Sched.Close()
 }
 
 // solveContext derives the context a solve runs under: cancelled when

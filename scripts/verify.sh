@@ -20,10 +20,14 @@ GOMAXPROCS=4 go test -race -run 'TestDeterministic|TestAbortSoundness' ./interna
 # sweep above.
 GOMAXPROCS=1 go test -run 'TestSimplify' ./internal/preimage/
 GOMAXPROCS=4 go test -race -run 'TestSimplify' ./internal/preimage/
+# The executor packages under real preemption and the race detector: a
+# one-core host runs every subcube job in one order and cannot expose a
+# scheduling-order assumption in a test or a race in the job plumbing.
+GOMAXPROCS=4 go test -race ./internal/server/ ./internal/allsat/ ./internal/pool/ ./internal/runtime/
 go test -run '^$' -bench 'Table|ParallelEnumerate|ReachIncremental|Simplify' -benchtime=1x -benchmem .
 # Loadbench smoke: one request per mode through BenchmarkServerLoad
 # (scripts/loadbench.sh runs the real measurement). Catches harness rot
-# in the pooled-vs-classic server benchmark without paying for 64x2 runs.
+# in the pooled-vs-fresh server benchmark without paying for 64x2 runs.
 go test -run '^$' -bench ServerLoad -benchtime=1x -benchmem ./internal/server/
 
 # Service smoke test: boot cmd/serve on a random port, stream a small
