@@ -36,8 +36,8 @@ func ExamplePreimage() {
 	}
 	// Output:
 	// count: 2
-	// cube: 1010
 	// cube: 0110
+	// cube: 1010
 }
 
 // Backward reachability to the fixpoint.

@@ -39,7 +39,10 @@ type Stats struct {
 	// solver produced (one per iteration for the blocking engines; the
 	// number of 1-leaves reached for the success-driven engine).
 	Solutions uint64
-	// Cubes is the number of cubes emitted into the cover.
+	// Cubes is the number of cubes emitted into the cover. The
+	// success-driven engine emits none while it searches; its count is
+	// that of the ISOP cover read off its BDD (in a preimage result, the
+	// state cover).
 	Cubes uint64
 	// BlockingClauses / BlockingLits measure added blocking clauses.
 	BlockingClauses, BlockingLits uint64

@@ -1,6 +1,7 @@
 package preimage
 
 import (
+	"fmt"
 	"testing"
 
 	"allsatpre/internal/bdd"
@@ -88,8 +89,9 @@ func TestDeterministicCoverAcrossWorkers(t *testing.T) {
 }
 
 // TestAbortSoundnessAcrossWorkers injects a mid-run decision budget at
-// every worker count: the run must report the abort with its reason, and
-// the partial cover must stay a subset of the true preimage. (Exact
+// every worker count: the run must report the abort with its reason, the
+// partial cover must stay a subset of the true preimage, and Count must
+// be exactly the number of states that cover denotes, aborted or not. (Exact
 // cube-level determinism is not promised under abort — which subcubes
 // completed is scheduling-dependent — soundness and abort reporting
 // are.)
@@ -120,12 +122,89 @@ func TestAbortSoundnessAcrossWorkers(t *testing.T) {
 				t.Fatalf("p%d: abort reason %v, want decisions", workers, par.AbortReason)
 			}
 		}
-		if extra := m.Diff(m.FromCover(par.States), fullSet); extra != bdd.False {
+		parSet := m.FromCover(par.States)
+		if extra := m.Diff(parSet, fullSet); extra != bdd.False {
 			t.Fatalf("p%d: aborted cover is not a subset of the full preimage", workers)
+		}
+		if n := m.SatCount(parSet); par.Count.Cmp(n) != 0 {
+			t.Fatalf("p%d: count %v, cover has %v states (aborted=%v)", workers, par.Count, n, par.Aborted)
 		}
 	}
 	if !sawAbort {
 		t.Fatal("a 10-decision budget never aborted the 8-latch instance")
+	}
+}
+
+// TestDeterministicStateCoverIsStateISOP pins the success-driven cover
+// shape: States is the ISOP of the quantified state set ∃inputs·set, so it
+// is positionally equal to the ISOP of the BDD engine's state set in a
+// manager ordered by the canonical state space — at every worker count
+// and under the decision-order ablations. Stats.Cubes counts that cover,
+// and the WithInputs pairs denote the blocking engine's pair set.
+func TestDeterministicStateCoverIsStateISOP(t *testing.T) {
+	ablations := []struct {
+		name                   string
+		inputFirst, interleave bool
+	}{
+		{"state-first", false, false},
+		{"input-first", true, false},
+		{"interleave", false, true},
+	}
+	for _, nc := range determinismSuite() {
+		target := wideTarget(len(nc.Circuit.Latches))
+		ref, err := Compute(nc.Circuit, target, Options{Engine: EngineBDD})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := bdd.NewOrdered(ref.StateSpace.Vars())
+		want := m.ISOP(m.FromCover(ref.States), ref.StateSpace).Cubes()
+		blk, err := Compute(nc.Circuit, target, Options{Engine: EngineBlocking, WithInputs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm := bdd.NewOrdered(blk.Pairs.Space().Vars())
+		wantPairs := pm.FromCover(blk.Pairs)
+
+		for _, ab := range ablations {
+			for _, workers := range []int{1, 2, 4, 8} {
+				for _, withInputs := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%s/p%d/inputs=%v", nc.Name, ab.name, workers, withInputs)
+					got, err := Compute(nc.Circuit, target, Options{
+						Parallel:        workers,
+						InputFirstOrder: ab.inputFirst,
+						Interleave:      ab.interleave,
+						WithInputs:      withInputs,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Aborted {
+						t.Fatalf("%s: spurious abort (%v)", name, got.AbortReason)
+					}
+					cubes := got.States.Cubes()
+					if len(cubes) != len(want) {
+						t.Fatalf("%s: %d cubes, want %d", name, len(cubes), len(want))
+					}
+					for i := range cubes {
+						if cubes[i].Key() != want[i].Key() {
+							t.Fatalf("%s: cube %d = %s, want %s", name, i, cubes[i], want[i])
+						}
+					}
+					if got.Count.Cmp(ref.Count) != 0 {
+						t.Fatalf("%s: count %v, want %v", name, got.Count, ref.Count)
+					}
+					if got.Stats.Cubes != uint64(got.States.Len()) {
+						t.Fatalf("%s: Stats.Cubes = %d, States has %d cubes", name, got.Stats.Cubes, got.States.Len())
+					}
+					switch {
+					case !withInputs && got.Pairs != nil:
+						t.Fatalf("%s: Pairs set without WithInputs", name)
+					case withInputs && pm.FromCover(got.Pairs) != wantPairs:
+						t.Fatalf("%s: pair set differs from the blocking engine's", name)
+					}
+				}
+			}
+		}
 	}
 }
 

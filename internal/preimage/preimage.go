@@ -6,8 +6,10 @@
 // Five interchangeable engines are provided:
 //
 //   - EngineSuccessDriven (default): the paper's all-solutions SAT
-//     enumerator (internal/core), returning the preimage directly as an
-//     ROBDD-backed cube cover.
+//     enumerator (internal/core), whose result is an ROBDD over the
+//     (state, input) projection. The inputs are quantified out on that
+//     BDD and the state cover is read off the quantified set by ISOP;
+//     input cubes are extracted only when WithInputs asks for them.
 //   - EngineBlocking: classical all-SAT with full-minterm blocking
 //     clauses (the paper's SAT baseline).
 //   - EngineLifting: all-SAT with greedily lifted (shortened) blocking
@@ -119,10 +121,10 @@ type Options struct {
 	// Parallel, when > 1, computes the preimage with that many workers.
 	// The success-driven engine partitions the projection space into
 	// guiding-path subcubes run as scheduler jobs by internal/pool,
-	// whose merged BDD — and therefore ISOP cover — is
-	// bit-identical to the sequential run; the blocking/lifting engines
-	// fan guiding-path subcubes over per-subcube solvers
-	// (allsat.Options.Workers); the BDD engine computes disjoint
+	// whose merged BDD — and therefore the state cover, the ISOP of its
+	// input-quantified set — is bit-identical to the sequential run; the
+	// blocking/lifting engines fan guiding-path subcubes over per-subcube
+	// solvers (allsat.Options.Workers); the BDD engine computes disjoint
 	// Restrict slices of the present-state space concurrently. All
 	// engines return the same solution set as the sequential run for
 	// every worker count.
@@ -181,7 +183,12 @@ type Options struct {
 
 // Result is a preimage: the set of predecessor states.
 type Result struct {
-	// States is the preimage as a cube cover over StateSpace.
+	// States is the preimage as a cube cover over StateSpace. The
+	// success-driven engine (like the sequential BDD engine) returns
+	// ISOP(∃inputs·set), the irredundant cover of its state set in latch
+	// order, identical for every worker count; the blocking, lifting and
+	// disjoint engines return their enumerated cubes projected onto the
+	// state positions and Reduced.
 	States *cube.Cover
 	// StateSpace is the canonical state space (vars 0..L-1, latch names).
 	StateSpace *cube.Space
@@ -309,8 +316,17 @@ func runSATEngine(f *cnf.Formula, projSpace *cube.Space, opts Options) (*allsat.
 func runSATEngineSimplified(f *cnf.Formula, projSpace *cube.Space, opts Options) (*allsat.Result, error) {
 	switch opts.Engine {
 	case EngineSuccessDriven:
-		pr, ar := runSuccessDriven(f, projSpace, opts)
-		pr.Release() // the cover/count are extracted; the manager can go back warm
+		pr := runSuccessDriven(f, projSpace, opts)
+		defer pr.Release() // the cover/count are extracted; the manager can go back warm
+		ar := &allsat.Result{
+			Space:   projSpace,
+			Cover:   pr.Manager.ISOP(pr.Set, projSpace),
+			Count:   pr.Manager.SatCount(pr.Set),
+			Stats:   pr.Stats,
+			Aborted: pr.Aborted,
+			Reason:  pr.Reason,
+		}
+		ar.Stats.Cubes = uint64(ar.Cover.Len())
 		return ar, nil
 	case EngineBlocking, EngineLifting, EngineDisjoint:
 		as := opts.AllSAT
@@ -338,10 +354,11 @@ func runSATEngineSimplified(f *cnf.Formula, projSpace *cube.Space, opts Options)
 
 // runSuccessDriven runs the success-driven engine — pooled for any worker
 // count (one worker short-circuits to the plain sequential enumerator
-// inside the pool) — and returns both the merged BDD (manager + set) and
-// the allsat-shaped result extracted from it. The run budget is enforced
-// by the pool; an explicitly set engine budget wins over opts.Budget.
-func runSuccessDriven(f *cnf.Formula, projSpace *cube.Space, opts Options) (*pool.Result, *allsat.Result) {
+// inside the pool) — and returns the merged BDD (manager + set) over the
+// projection space. The run budget is enforced by the pool; an
+// explicitly set engine budget wins over opts.Budget. The caller owns
+// the result and must Release it.
+func runSuccessDriven(f *cnf.Formula, projSpace *cube.Space, opts Options) *pool.Result {
 	co := opts.Core
 	if co.IsZero() {
 		co = core.DefaultOptions()
@@ -355,23 +372,13 @@ func runSuccessDriven(f *cnf.Formula, projSpace *cube.Space, opts Options) (*poo
 	if workers < 1 {
 		workers = 1
 	}
-	pr := pool.Enumerate(f, projSpace, pool.Options{
+	return pool.Enumerate(f, projSpace, pool.Options{
 		Workers: workers,
 		Core:    co,
 		Budget:  bud,
 		Stats:   opts.Stats,
 		Runtime: opts.Runtime,
 	})
-	ar := &allsat.Result{
-		Space:   projSpace,
-		Cover:   pr.Manager.ISOP(pr.Set, projSpace),
-		Count:   pr.Manager.SatCount(pr.Set),
-		Stats:   pr.Stats,
-		Aborted: pr.Aborted,
-		Reason:  pr.Reason,
-	}
-	ar.Stats.Cubes = uint64(ar.Cover.Len())
-	return pr, ar
 }
 
 // recordStats publishes a result's counters into the run registry.
@@ -579,20 +586,19 @@ func computeSAT(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, 
 	}
 
 	sstats := applySimplify(inst.F, projSpace, &opts)
-
-	var res *allsat.Result
-	var pr *pool.Result
+	stateSpace := StateSpace(c)
 	if opts.Engine == EngineSuccessDriven {
-		pr, res = runSuccessDriven(inst.F, projSpace, opts)
-	} else {
-		res, err = runSATEngine(inst.F, projSpace, opts)
-		if err != nil {
-			return nil, err
-		}
+		out := successResult(inst, projSpace, stateSpace, opts)
+		out.Stats.Simplify = sstats
+		return out, nil
+	}
+
+	res, err := runSATEngine(inst.F, projSpace, opts)
+	if err != nil {
+		return nil, err
 	}
 	res.Stats.Simplify = sstats
 
-	stateSpace := StateSpace(c)
 	// Project the (ordered) projection cover onto the state positions.
 	posOfLatch := make([]int, len(inst.StateVars))
 	for i, v := range inst.StateVars {
@@ -611,50 +617,75 @@ func computeSAT(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, 
 	out := &Result{
 		States:      states,
 		StateSpace:  stateSpace,
+		Count:       countStates(states, opts.Runtime),
 		Stats:       res.Stats,
 		BDDNodes:    res.Stats.BDDNodes,
 		Engine:      opts.Engine,
 		Aborted:     res.Aborted,
 		AbortReason: res.Reason,
 	}
-	if pr != nil {
-		// The engine handed back its merged BDD: the state count and (when
-		// requested) the state set come straight from it — no third
-		// manager, no cover round-trip. ∃x·set counted over the state
-		// variables equals the minterm count of the projected cover.
-		stateSet := pr.Manager.ExistsVars(pr.Set, inst.InputVars)
-		out.Count = pr.Manager.SatCountIn(stateSet, inst.StateVars)
-		if opts.ShareManager != nil {
-			// Rename CNF state vars to canonical positions; the relative
-			// order is the latch order in both managers, so the import
-			// stays on the fast structural path.
-			sub := make(map[lit.Var]lit.Var, len(inst.StateVars))
-			for i, v := range inst.StateVars {
-				sub[v] = lit.Var(i)
-			}
-			snap := pr.Manager.Export(stateSet).Rename(sub)
-			out.Set = opts.ShareManager.Import(snap)
-			out.HasSet = true
-		}
-		pr.Release()
-	} else {
-		out.Count = countStates(states, opts.Runtime)
-	}
 	if opts.WithInputs {
-		// Re-express the projection cover over (state ++ input) order.
-		pairSpace := pairSpace(inst)
-		pairs := cube.NewCover(pairSpace)
-		fullVars := inst.FullSpace.Vars()
-		for _, cb := range res.Cover.Cubes() {
-			pc := pairSpace.FullCube()
-			for i, v := range fullVars {
-				pc[i] = cb[projSpace.PosOf(v)]
-			}
-			pairs.Add(pc)
-		}
-		out.Pairs = pairs
+		out.Pairs = pairsCover(inst, projSpace, res.Cover)
 	}
 	return out, nil
+}
+
+// successResult runs the success-driven engine and reads every field of
+// the Result off the one state set ∃inputs·set of its merged BDD: the
+// state cover is that set's ISOP, the count its model count, and the
+// shared-manager export (Options.ShareManager) that set renamed onto the
+// canonical state space. Only WithInputs pays for an ISOP over the full
+// (state, input) projection space.
+func successResult(inst *trans.Instance, projSpace, stateSpace *cube.Space, opts Options) *Result {
+	pr := runSuccessDriven(inst.F, projSpace, opts)
+	defer pr.Release()
+	m := pr.Manager
+	stateSet := m.ExistsVars(pr.Set, inst.InputVars)
+	// The manager keeps the state variables in latch order under every
+	// projection ablation, so this ISOP is positionally the canonical one.
+	states := canonicalize(stateSpace, m.ISOP(stateSet, cube.NewSpace(inst.StateVars)))
+	out := &Result{
+		States:      states,
+		StateSpace:  stateSpace,
+		Count:       m.SatCountIn(stateSet, inst.StateVars),
+		Stats:       pr.Stats,
+		BDDNodes:    pr.Stats.BDDNodes,
+		Engine:      EngineSuccessDriven,
+		Aborted:     pr.Aborted,
+		AbortReason: pr.Reason,
+	}
+	out.Stats.Cubes = uint64(states.Len())
+	if opts.ShareManager != nil {
+		// Rename CNF state vars to canonical positions; the relative
+		// order is the latch order in both managers, so the import
+		// stays on the fast structural path.
+		sub := make(map[lit.Var]lit.Var, len(inst.StateVars))
+		for i, v := range inst.StateVars {
+			sub[v] = lit.Var(i)
+		}
+		out.Set = opts.ShareManager.Import(m.Export(stateSet).Rename(sub))
+		out.HasSet = true
+	}
+	if opts.WithInputs {
+		out.Pairs = pairsCover(inst, projSpace, m.ISOP(pr.Set, projSpace))
+	}
+	return out
+}
+
+// pairsCover re-expresses a cover over the projection space in
+// (state ++ input) order.
+func pairsCover(inst *trans.Instance, projSpace *cube.Space, cv *cube.Cover) *cube.Cover {
+	pairSpace := pairSpace(inst)
+	pairs := cube.NewCover(pairSpace)
+	fullVars := inst.FullSpace.Vars()
+	for _, cb := range cv.Cubes() {
+		pc := pairSpace.FullCube()
+		for i, v := range fullVars {
+			pc[i] = cb[projSpace.PosOf(v)]
+		}
+		pairs.Add(pc)
+	}
+	return pairs
 }
 
 func pairSpace(inst *trans.Instance) *cube.Space {

@@ -153,6 +153,11 @@ func CheckReachable(c *circuit.Circuit, init, bad *cube.Cover, maxSteps int, opt
 	opts.Budget = opts.Budget.Materialize()
 	stateSpace := StateSpace(c)
 	man := bdd.NewOrdered(stateSpace.Vars())
+	if opts.Engine == EngineSuccessDriven {
+		// Let Compute export each layer's state set straight into our
+		// manager instead of round-tripping it through a cover.
+		opts.ShareManager = man
+	}
 	initSet := man.FromCover(canonicalize(stateSpace, init))
 
 	// Backward layers from bad until init is hit or fixpoint.
@@ -175,7 +180,12 @@ func CheckReachable(c *circuit.Circuit, init, bad *cube.Cover, maxSteps int, opt
 			return nil, err
 		}
 		steps++
-		preSet := man.FromCover(pre.States)
+		var preSet bdd.Ref
+		if pre.HasSet {
+			preSet = pre.Set
+		} else {
+			preSet = man.FromCover(pre.States)
+		}
 		newSet := man.Diff(preSet, visited)
 		if newSet == bdd.False {
 			if pre.Aborted {
