@@ -83,6 +83,17 @@ type Stats struct {
 	Simplify simplify.Stats
 }
 
+// SetLearntGauges copies a CDCL solver's learnt-database gauges — peak
+// learnt count and bytes, arena size, live per-tier counts — into st.
+func (st *Stats) SetLearntGauges(ss sat.Stats) {
+	st.PeakLearnts = uint64(ss.PeakLearnts)
+	st.PeakLearntBytes = ss.PeakLearntBytes
+	st.ArenaBytes = ss.ArenaBytes
+	st.LearntsCore = uint64(ss.LearntsCore)
+	st.LearntsTier2 = uint64(ss.LearntsTier2)
+	st.LearntsLocal = uint64(ss.LearntsLocal)
+}
+
 // Result is the outcome of an enumeration.
 type Result struct {
 	// Space is the projection space (one position per projection var).

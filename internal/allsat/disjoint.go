@@ -118,10 +118,5 @@ func (it *DisjointIterator) captureStats() {
 	it.stats.Decisions = ss.Decisions
 	it.stats.Propagations = ss.Propagations
 	it.stats.Conflicts = ss.Conflicts
-	it.stats.PeakLearnts = uint64(ss.PeakLearnts)
-	it.stats.PeakLearntBytes = ss.PeakLearntBytes
-	it.stats.ArenaBytes = ss.ArenaBytes
-	it.stats.LearntsCore = uint64(ss.LearntsCore)
-	it.stats.LearntsTier2 = uint64(ss.LearntsTier2)
-	it.stats.LearntsLocal = uint64(ss.LearntsLocal)
+	it.stats.SetLearntGauges(ss)
 }

@@ -70,38 +70,6 @@ type SubResult struct {
 	Reason  budget.Reason
 }
 
-// prepareRoot installs the unit clauses and runs root-level propagation
-// once per enumerator, reporting false when the formula is UNSAT at the
-// root. Both Enumerate and EnumerateUnder funnel through it, so an
-// enumerator can serve any number of assumption subcubes after a single
-// root setup.
-func (e *Enumerator) prepareRoot() bool {
-	if e.prepared {
-		return !e.rootUnsat
-	}
-	e.prepared = true
-	for _, cl := range e.orig {
-		switch len(cl.lits) {
-		case 0:
-			e.rootUnsat = true
-			return false
-		case 1:
-			switch e.litValue(cl.lits[0]) {
-			case lit.False:
-				e.rootUnsat = true
-				return false
-			case lit.Unknown:
-				e.enqueue(cl.lits[0], nil)
-			}
-		}
-	}
-	if e.bcp() != nil {
-		e.rootUnsat = true
-		return false
-	}
-	return true
-}
-
 // EnumerateUnder enumerates the solutions inside the subcube described by
 // assumps (projection literals, typically a guiding-path prefix). Each
 // assumption is asserted at its own decision level — not at the root — so
@@ -119,14 +87,12 @@ func (e *Enumerator) EnumerateUnder(assumps []lit.Lit, callMaxDecisions uint64) 
 	if e.check == nil && !e.opts.Budget.IsZero() {
 		e.check = e.opts.Budget.Start()
 	}
-	before := e.stats
+	before := e.Stats()
 	out := SubResult{Set: bdd.False}
-	base := len(e.trailLim)
+	base := e.s.Level()
 	finish := func() SubResult {
-		for len(e.trailLim) > base {
-			e.popLevel()
-		}
-		out.Stats = statsDelta(e.stats, before)
+		e.backtrack(base)
+		out.Stats = statsDelta(e.Stats(), before)
 		out.Aborted = e.aborted
 		out.Reason = e.abortReason
 		return out
@@ -142,25 +108,23 @@ func (e *Enumerator) EnumerateUnder(assumps []lit.Lit, callMaxDecisions uint64) 
 	if e.aborted {
 		return finish()
 	}
-	if !e.prepareRoot() {
+	if e.rootUnsat {
 		out.Status = SubGlobalUnsat
 		return finish()
 	}
 	for _, a := range assumps {
-		switch e.litValue(a) {
+		switch e.s.LitValue(a) {
 		case lit.True:
 			continue // already implied
 		case lit.False:
 			out.Status = SubUnsatAssumps
-			out.Failed = e.analyzeFinalLit(a)
+			out.Failed = e.failed(a)
 			return finish()
 		}
-		e.pushLevel()
-		e.enqueue(a, nil)
-		if confl := e.bcp(); confl != nil {
+		if !e.decide(a) {
 			e.stats.Conflicts++
 			out.Status = SubUnsatAssumps
-			out.Failed = e.analyzeFinal(confl)
+			out.Failed = e.failed(lit.UndefLit)
 			return finish()
 		}
 	}
@@ -180,7 +144,7 @@ func (e *Enumerator) EnumerateUnder(assumps []lit.Lit, callMaxDecisions uint64) 
 		// literals are folded into every subcube's set; the merge is an Or,
 		// and (A∧r)∨(B∧r) = (A∨B)∧r, so the union matches the sequential
 		// result exactly.
-		for _, l := range e.trail {
+		for _, l := range e.s.Trail() {
 			if e.isProj[l.Var()] {
 				set = e.man.And(set, e.man.Lit(l))
 			}
@@ -195,92 +159,41 @@ func (e *Enumerator) EnumerateUnder(assumps []lit.Lit, callMaxDecisions uint64) 
 // EnumerateUnder can export per-subcube sets.
 func (e *Enumerator) Manager() *bdd.Manager { return e.man }
 
-// Stats returns a copy of the accumulated search counters.
-func (e *Enumerator) Stats() allsat.Stats { return e.stats }
-
-// analyzeFinal resolves a conflict met while asserting assumptions back
-// to the subset of assumption decisions that caused it (the analogue of
-// MiniSat's analyzeFinal). Every decision level above the root is an
-// assumption here — enumeration has not started — so any decision reached
-// by the backward walk is an assumption literal.
-func (e *Enumerator) analyzeFinal(confl *clause) []lit.Lit {
-	e.cleanupBuf = e.cleanupBuf[:0]
-	for _, q := range confl.lits {
-		e.markFinal(q)
-	}
-	return e.collectFailed()
+// Stats returns a copy of the accumulated search counters, with the
+// propagation count and the learnt-database gauges read off the solver.
+func (e *Enumerator) Stats() allsat.Stats {
+	st := e.stats
+	ss := e.s.Stats()
+	st.Propagations = ss.Propagations
+	st.SetLearntGauges(ss)
+	return st
 }
 
-// analyzeFinalLit handles the case where assumption a is already false
-// when asserted. If it was falsified at the root, the formula alone
-// excludes a and the failed set is {a}; otherwise a's reason chain is
-// resolved back to the earlier assumptions that implied ¬a.
-func (e *Enumerator) analyzeFinalLit(a lit.Lit) []lit.Lit {
-	v := a.Var()
-	if e.dlevel[v] == 0 {
-		return []lit.Lit{a}
+// failed returns the assumptions responsible for a failure while
+// asserting them: p is an assumption found already false, lit.UndefLit
+// selects the conflict of the last propagation. The solver reports the
+// negated assumptions; they are flipped back to the asserted polarity.
+func (e *Enumerator) failed(p lit.Lit) []lit.Lit {
+	e.s.AnalyzeFinal(p)
+	out := e.s.Conflict()
+	for i, l := range out {
+		out[i] = l.Not()
 	}
-	e.cleanupBuf = e.cleanupBuf[:0]
-	e.seen[v] = 1
-	e.cleanupBuf = append(e.cleanupBuf, v)
-	return append(e.collectFailed(), a)
-}
-
-// markFinal marks a conflict-side literal for the final-conflict walk.
-// Root-level literals are facts of the formula, not of the assumptions,
-// and are dropped.
-func (e *Enumerator) markFinal(l lit.Lit) {
-	v := l.Var()
-	if e.seen[v] != 0 || e.assign[v] == lit.Unknown || e.dlevel[v] == 0 {
-		return
-	}
-	e.seen[v] = 1
-	e.cleanupBuf = append(e.cleanupBuf, v)
-}
-
-// collectFailed walks the trail top-down, expanding marked implied
-// literals through their reasons and collecting marked decisions — the
-// failed assumptions.
-func (e *Enumerator) collectFailed() []lit.Lit {
-	var failed []lit.Lit
-	for i := len(e.trail) - 1; i >= 0; i-- {
-		l := e.trail[i]
-		v := l.Var()
-		if e.seen[v] == 0 {
-			continue
-		}
-		if rc := e.reason[v]; rc != nil {
-			// rc.lits[0] is v's own literal while v is assigned (the watch
-			// invariant learnFrom relies on too); expand the rest.
-			for _, q := range rc.lits[1:] {
-				e.markFinal(q)
-			}
-		} else {
-			failed = append(failed, l)
-		}
-	}
-	for _, v := range e.cleanupBuf {
-		e.seen[v] = 0
-	}
-	return failed
+	return out
 }
 
 // statsDelta subtracts the monotone search counters, yielding the cost of
-// one call. BDDNodes and Kernel are per-manager gauges, not counters, and
-// are reported separately by the pool at worker teardown.
+// one call; the learnt-database gauges are those of after. BDDNodes and
+// Kernel are per-manager gauges reported separately by the pool at
+// worker teardown.
 func statsDelta(after, before allsat.Stats) allsat.Stats {
-	return allsat.Stats{
-		Solutions:    after.Solutions - before.Solutions,
-		Cubes:        after.Cubes - before.Cubes,
-		LiftedFree:   after.LiftedFree - before.LiftedFree,
-		Decisions:    after.Decisions - before.Decisions,
-		Propagations: after.Propagations - before.Propagations,
-		Conflicts:    after.Conflicts - before.Conflicts,
-		CacheLookups: after.CacheLookups - before.CacheLookups,
-		CacheHits:    after.CacheHits - before.CacheHits,
-		CacheClears:  after.CacheClears - before.CacheClears,
-
-		BlockingClauses: after.BlockingClauses - before.BlockingClauses,
-		BlockingLits:    after.BlockingLits - before.BlockingLits,
-	}
+	d := after
+	d.Solutions -= before.Solutions
+	d.Decisions -= before.Decisions
+	d.Propagations -= before.Propagations
+	d.Conflicts -= before.Conflicts
+	d.CacheLookups -= before.CacheLookups
+	d.CacheHits -= before.CacheHits
+	d.CacheClears -= before.CacheClears
+	return d
 }

@@ -7,8 +7,11 @@
 // fixed static order, and assembles the solution set directly as an ROBDD
 // over those variables:
 //
-//   - Unit propagation uses two-watched literals; internal circuit
-//     variables are never decided, only implied.
+//   - The search runs on internal/sat's solver as its propagation kernel:
+//     the clause arena, binary and two-watched-literal propagation, the
+//     trail and backtracking are the solver's. The enumerator only makes
+//     decisions; internal circuit variables are never decided, only
+//     implied.
 //   - When every original clause is satisfied, the remaining (unassigned)
 //     projection variables are don't cares: the search returns the BDD
 //     constant True, covering 2^k projections at once (cube enlargement).
@@ -24,15 +27,17 @@
 //     reconvergent or replicated logic, and happens across sibling
 //     branches whenever the decided variable has ceased to matter — the
 //     stored solution sub-BDD is grafted in O(1) instead of re-searching.
-//   - Conflict-driven learning is retained: failed branches produce
-//     first-UIP learned clauses that prune later UNSAT regions. Learned
-//     clauses are used only for propagation and conflict detection, never
-//     for the satisfaction test, so they cannot corrupt the enumeration.
+//   - Conflict-driven learning is retained: a failed branch hands its
+//     conflict to the solver, which derives a minimized first-UIP clause
+//     and keeps it in its tiered learnt database (the same attach-only
+//     path sat.ChronoEnum uses), reducing the database as it grows.
+//     Learned clauses are used only for propagation and conflict
+//     detection, never for the satisfaction test, so they cannot corrupt
+//     the enumeration.
 package core
 
 import (
 	"fmt"
-	"math/big"
 
 	"allsatpre/internal/allsat"
 	"allsatpre/internal/bdd"
@@ -40,6 +45,7 @@ import (
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
+	"allsatpre/internal/sat"
 )
 
 // Options tunes the success-driven enumerator.
@@ -49,8 +55,6 @@ type Options struct {
 	EnableMemo bool
 	// EnableLearning turns conflict-clause learning on.
 	EnableLearning bool
-	// MaxLearnedLen drops learned clauses longer than this (0 = keep all).
-	MaxLearnedLen int
 	// MemoLimit bounds the success-driven memo table: when the entry count
 	// reaches the limit, the whole table is cleared (a clear-on-threshold
 	// policy, counted in Stats.CacheClears), bounding memory on deep
@@ -88,7 +92,7 @@ func DefaultOptions() Options {
 // callers substitute DefaultOptions. Field-wise because Options holds a
 // function value and is not comparable.
 func (o Options) IsZero() bool {
-	return !o.EnableMemo && !o.EnableLearning && o.MaxLearnedLen == 0 &&
+	return !o.EnableMemo && !o.EnableLearning &&
 		o.MemoLimit == 0 && o.MaxDecisions == 0 && o.Budget.IsZero() &&
 		o.OnDecision == nil && o.Manager == nil
 }
@@ -99,48 +103,29 @@ func (o Options) IsZero() bool {
 // it only engages on pathological instances.
 const DefaultMemoLimit = 1 << 20
 
-type clause struct {
-	lits    []lit.Lit
-	learned bool
-	// dead marks a clause retired by RetireGroup (or a learned clause
-	// garbage-collected with it); dead clauses are swept from the watch
-	// lists at retirement and stay permanently root-satisfied, so the
-	// search never consults them again.
-	dead bool
-}
-
-type watcher struct {
-	cl      *clause
-	blocker lit.Lit
-}
-
 // Enumerator is the success-driven all-solutions engine for one formula
 // and projection. Create with New, run with Enumerate.
 type Enumerator struct {
 	opts Options
 
-	orig    []*clause // original clauses, index-aligned with satBy
-	learned []*clause
-	watches [][]watcher
+	// s is the propagation kernel: clause arena, watch lists, trail,
+	// conflict analysis and the tiered learnt database. The enumerator
+	// makes every decision itself and keys its per-clause state below by
+	// problem-clause position in s (stable: the solver never shifts it).
+	s *sat.Solver
 
-	assign   []lit.Tern
-	reason   []*clause
-	seen     []byte // analyze scratch
-	dlevel   []int32
-	trailIdx []int32 // variable -> trail position (valid while assigned)
-
-	trail    []lit.Lit
-	trailLim []int
-	qhead    int
-
-	// occ[l] lists original clause indexes containing literal l, for the
-	// satisfied-clause bookkeeping.
+	// Satisfied-clause bookkeeping over the problem clauses, folded in
+	// from the trail lazily at propagation fixpoints (sync) and unwound
+	// before every backtrack (backtrack). occ[l] lists the clauses
+	// containing literal l; satBy[ci] is the trail index that satisfied
+	// clause ci, -1 while none; satHead is the trail prefix folded in.
 	occ      [][]int32
-	satBy    []int32 // original clause -> trail index that satisfied it, -1
+	satBy    []int32
+	satHead  int
 	unsatCnt int
 
 	// Residual-subproblem signature (success-driven learning). The
-	// residual of a search state is the set of not-yet-satisfied original
+	// residual of a search state is the set of not-yet-satisfied problem
 	// clauses, each restricted to its unassigned literals; it exactly
 	// determines the solution set over the remaining projection
 	// variables. resid is a 128-bit Zobrist hash of that residual,
@@ -158,43 +143,26 @@ type Enumerator struct {
 	memo      map[sig128]bdd.Ref
 	memoLimit int // resolved MemoLimit; 0 = unbounded
 
-	// learnFrom scratch, reused across conflicts.
-	learntBuf  []lit.Lit
-	cleanupBuf []lit.Var
-
-	// Chunked backing for learned clauses: clause structs and their
-	// literal slices are carved out of fixed-capacity blocks, so a learnt
-	// costs zero dedicated allocations once a chunk is open (the same
-	// pre-sizing idea New applies to the original clauses, extended to
-	// clauses whose count is unknown up front). Chunks are never grown in
-	// place — live *clause pointers into them must stay stable — a full
-	// chunk is simply replaced by a fresh one and kept alive by its
-	// clauses. learnedLits counts the literals of live learned clauses
-	// (the retained-learnt footprint incr sessions report).
-	litChunk    []lit.Lit
-	clauseChunk []clause
-	learnedLits int
-
 	residScan   int  // rotating scan pointer for residualSAT
 	aborted     bool // resource budget exhausted
 	abortReason budget.Reason
 	check       *budget.Checker // nil when the budget is unbounded
 
-	// Incremental-clause state (see incr.go). groupOf tags each original
+	// Incremental-clause state (see incr.go). groupOf tags each problem
 	// clause with its dynamic group (0 = permanent); dynUnsat counts the
 	// unsatisfied clauses of the open group, so the memo can tell which
 	// entries embed the current target; stepSigs records those entries
-	// for invalidation when the group retires.
+	// for invalidation when the group retires. groupAdded counts the
+	// open group's clauses, stored or not.
 	groupOf      []int32
-	groupClauses []int32 // clause indexes of the open group
-	curGroup     int32   // open group id (0 = none)
+	groupClauses []int32 // stored clause positions of the open group
+	groupAdded   int
+	curGroup     int32 // open group id (0 = none)
 	nextGroup    int32
 	dynUnsat     int
 	stepSigs     []sig128
 
-	// Root preparation state (unit installation + root BCP), done once so
-	// the enumerator can serve repeated EnumerateUnder calls.
-	prepared  bool
+	// rootUnsat latches once the formula is UNSAT at the root.
 	rootUnsat bool
 
 	// Per-call soft decision cap (EnumerateUnder): when the call exceeds
@@ -204,12 +172,21 @@ type Enumerator struct {
 	callBaseDec uint64
 	splitReq    bool
 
-	stats allsat.Stats
+	litBuf []lit.Lit // clause-literal scratch
+	stats  allsat.Stats
 }
 
 // New prepares an enumerator for formula f projected onto the variables of
-// space (which become the BDD variable order, top to bottom).
+// space (which become the BDD variable order, top to bottom), on a fresh
+// solver.
 func New(f *cnf.Formula, space *cube.Space, opts Options) *Enumerator {
+	return NewOn(sat.NewDefault(), f, space, opts)
+}
+
+// NewOn is New on a caller-supplied solver, which must be empty (fresh or
+// Reset), for instance a warm one from a runtime pool. The enumerator
+// owns the solver until the caller takes it back after the last call.
+func NewOn(s *sat.Solver, f *cnf.Formula, space *cube.Space, opts Options) *Enumerator {
 	opts.Budget = opts.Budget.Materialize()
 	man := opts.Manager
 	if man == nil {
@@ -217,19 +194,13 @@ func New(f *cnf.Formula, space *cube.Space, opts Options) *Enumerator {
 	}
 	n := f.NumVars
 	e := &Enumerator{
-		opts:     opts,
-		watches:  make([][]watcher, 2*n),
-		assign:   make([]lit.Tern, n),
-		reason:   make([]*clause, n),
-		seen:     make([]byte, n),
-		dlevel:   make([]int32, n),
-		trailIdx: make([]int32, n),
-		occ:      make([][]int32, 2*n),
-		proj:     space.Vars(),
-		isProj:   make([]bool, n),
-		space:    space,
-		man:      man,
-		memo:     make(map[sig128]bdd.Ref),
+		opts:   opts,
+		s:      s,
+		proj:   space.Vars(),
+		isProj: make([]bool, n),
+		space:  space,
+		man:    man,
+		memo:   make(map[sig128]bdd.Ref),
 	}
 	switch {
 	case opts.MemoLimit > 0:
@@ -243,202 +214,77 @@ func New(f *cnf.Formula, space *cube.Space, opts Options) *Enumerator {
 		}
 		e.isProj[v] = true
 	}
-
-	// Install the clauses in two passes: normalize and count first, then
-	// carve the occurrence lists, clause literals, and initial watch lists
-	// out of single backing arrays sized exactly — one allocation each
-	// instead of an append-doubling chain per literal.
-	norm := make([]cnf.Clause, 0, len(f.Clauses))
-	occCnt := make([]int32, 2*n)
-	watchCnt := make([]int32, 2*n)
-	totalLits := 0
-	for _, c := range f.Clauses {
-		nc, taut := c.Normalize()
-		if taut {
-			continue
-		}
-		norm = append(norm, nc)
-		totalLits += len(nc)
-		for _, l := range nc {
-			occCnt[l]++
-		}
-		if len(nc) >= 2 {
-			watchCnt[nc[0].Not()]++
-			watchCnt[nc[1].Not()]++
-		}
+	e.rootUnsat = !s.LoadFormula(f)
+	e.occ = s.Occurrences()
+	m := s.NumClauses()
+	e.satBy = make([]int32, 0, m)
+	e.contrib = make([]sig128, 0, m)
+	e.groupOf = make([]int32, 0, m)
+	for ci := 0; ci < m; ci++ {
+		e.track(int32(ci), 0)
 	}
-	occBack := make([]int32, totalLits)
-	pos := 0
-	for l, cnt := range occCnt {
-		if cnt == 0 {
-			continue
-		}
-		e.occ[l] = occBack[pos : pos : pos+int(cnt)]
-		pos += int(cnt)
-	}
-	totalWatch := 0
-	for _, cnt := range watchCnt {
-		totalWatch += int(cnt)
-	}
-	watchBack := make([]watcher, totalWatch)
-	pos = 0
-	for l, cnt := range watchCnt {
-		if cnt == 0 {
-			continue
-		}
-		// Three-index caps keep a list that later outgrows its chunk from
-		// stomping its neighbour: the overflowing append reallocates.
-		e.watches[l] = watchBack[pos : pos : pos+int(cnt)]
-		pos += int(cnt)
-	}
-	litBack := make([]lit.Lit, 0, totalLits)
-	clauseBack := make([]clause, len(norm))
-	e.orig = make([]*clause, 0, len(norm))
-	e.satBy = make([]int32, 0, len(norm))
-	e.contrib = make([]sig128, 0, len(norm))
-	e.groupOf = make([]int32, 0, len(norm))
-	for i, nc := range norm {
-		start := len(litBack)
-		litBack = append(litBack, nc...)
-		cl := &clauseBack[i]
-		cl.lits = litBack[start:len(litBack):len(litBack)]
-		e.install(cl)
-	}
+	e.sync()
 	return e
 }
 
-// install records a normalized problem clause: residual signature,
-// occurrence lists, and (for clauses of length ≥ 2) the watch pair. Unit
-// and empty clauses are handled at Enumerate start.
-func (e *Enumerator) install(cl *clause) {
-	ci := int32(len(e.orig))
-	e.orig = append(e.orig, cl)
+// track registers problem clause ci, just stored by the solver, as
+// unsatisfied: the solver stores a clause only when none of its literals
+// is assigned at the root.
+func (e *Enumerator) track(ci int32, group int32) {
 	e.satBy = append(e.satBy, -1)
-	e.groupOf = append(e.groupOf, 0)
-	e.unsatCnt++
+	e.groupOf = append(e.groupOf, group)
 	base := clauseBase(ci)
 	e.contrib = append(e.contrib, base)
 	e.resid.xor(base)
-	for _, l := range cl.lits {
-		e.occ[l] = append(e.occ[l], ci)
-	}
-	if len(cl.lits) >= 2 {
-		e.attach(cl)
+	e.unsatCnt++
+	if group != 0 {
+		e.dynUnsat++
 	}
 }
 
-func (e *Enumerator) attach(cl *clause) {
-	w0, w1 := cl.lits[0].Not(), cl.lits[1].Not()
-	e.watches[w0] = append(e.watches[w0], watcher{cl: cl, blocker: cl.lits[1]})
-	e.watches[w1] = append(e.watches[w1], watcher{cl: cl, blocker: cl.lits[0]})
-}
-
-func (e *Enumerator) litValue(l lit.Lit) lit.Tern {
-	return e.assign[l.Var()].XorSign(l.Sign())
-}
-
-func (e *Enumerator) enqueue(l lit.Lit, from *clause) {
-	v := l.Var()
-	e.assign[v] = lit.TernOf(!l.Sign())
-	e.reason[v] = from
-	e.dlevel[v] = int32(len(e.trailLim))
-	pos := int32(len(e.trail))
-	e.trailIdx[v] = pos
-	e.trail = append(e.trail, l)
-	// Clauses containing l become satisfied: drop them from the residual.
-	for _, ci := range e.occ[l] {
-		if e.satBy[ci] < 0 {
-			e.satBy[ci] = pos
-			e.unsatCnt--
-			e.resid.xor(e.contrib[ci])
-			if e.groupOf[ci] != 0 {
-				e.dynUnsat--
-			}
-		}
-	}
-	// Clauses containing ¬l lose a literal: fold the falsity key in.
-	nl := l.Not()
-	for _, ci := range e.occ[nl] {
-		k := falseKey(ci, nl)
-		e.contrib[ci].xor(k)
-		if e.satBy[ci] < 0 {
-			e.resid.xor(k)
-		}
-	}
-}
-
-// bcp propagates to fixpoint; returns the conflicting clause or nil.
-func (e *Enumerator) bcp() *clause {
-	for e.qhead < len(e.trail) {
-		p := e.trail[e.qhead]
-		e.qhead++
-		ws := e.watches[p]
-		out := ws[:0]
-		var confl *clause
-	watchLoop:
-		for i := 0; i < len(ws); i++ {
-			w := ws[i]
-			if e.litValue(w.blocker) == lit.True {
-				out = append(out, w)
-				continue
-			}
-			c := w.cl
-			falseLit := p.Not()
-			if c.lits[0] == falseLit {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
-			}
-			first := c.lits[0]
-			if first != w.blocker && e.litValue(first) == lit.True {
-				out = append(out, watcher{cl: c, blocker: first})
-				continue
-			}
-			for k := 2; k < len(c.lits); k++ {
-				if e.litValue(c.lits[k]) != lit.False {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					nw := c.lits[1].Not()
-					e.watches[nw] = append(e.watches[nw], watcher{cl: c, blocker: first})
-					continue watchLoop
+// sync folds the trail literals assigned since the last call into the
+// satisfied-clause bookkeeping and the residual signature: clauses
+// containing a new literal become satisfied and leave the residual,
+// clauses containing its negation fold in the falsity key. Called at
+// propagation fixpoints, so each trail position is processed once per
+// assign/unassign cycle and the kernel's propagation loop stays free of
+// callbacks.
+func (e *Enumerator) sync() {
+	trail := e.s.Trail()
+	for ; e.satHead < len(trail); e.satHead++ {
+		l := trail[e.satHead]
+		for _, ci := range e.occ[l] {
+			if e.satBy[ci] < 0 {
+				e.satBy[ci] = int32(e.satHead)
+				e.unsatCnt--
+				e.resid.xor(e.contrib[ci])
+				if e.groupOf[ci] != 0 {
+					e.dynUnsat--
 				}
 			}
-			out = append(out, watcher{cl: c, blocker: first})
-			switch e.litValue(first) {
-			case lit.False:
-				confl = c
-				e.qhead = len(e.trail)
-				for i++; i < len(ws); i++ {
-					out = append(out, ws[i])
-				}
-			case lit.Unknown:
-				e.stats.Propagations++
-				e.enqueue(first, c)
-			}
-			if confl != nil {
-				break
-			}
 		}
-		e.watches[p] = out
-		if confl != nil {
-			return confl
+		nl := l.Not()
+		for _, ci := range e.occ[nl] {
+			k := falseKey(ci, nl)
+			e.contrib[ci].xor(k)
+			if e.satBy[ci] < 0 {
+				e.resid.xor(k)
+			}
 		}
 	}
-	return nil
 }
 
-// pushLevel opens a new decision level and returns the trail mark.
-func (e *Enumerator) pushLevel() int {
-	e.trailLim = append(e.trailLim, len(e.trail))
-	return len(e.trail)
-}
-
-// popLevel undoes the topmost decision level.
-func (e *Enumerator) popLevel() {
-	mark := e.trailLim[len(e.trailLim)-1]
-	e.trailLim = e.trailLim[:len(e.trailLim)-1]
-	for i := len(e.trail) - 1; i >= mark; i-- {
-		l := e.trail[i]
-		v := l.Var()
-		e.assign[v] = lit.Unknown
-		e.reason[v] = nil
+// backtrack unwinds the bookkeeping over the folded trail suffix above
+// the given decision level, in reverse order, then backtracks the solver.
+// All backtracking goes through here.
+func (e *Enumerator) backtrack(level int) {
+	if e.s.Level() <= level {
+		return
+	}
+	trail := e.s.Trail()
+	bound := e.s.LevelStart(level + 1)
+	for i := e.satHead - 1; i >= bound; i-- {
+		l := trail[i]
 		nl := l.Not()
 		for _, ci := range e.occ[nl] {
 			k := falseKey(ci, nl)
@@ -458,9 +304,24 @@ func (e *Enumerator) popLevel() {
 			}
 		}
 	}
-	e.trail = e.trail[:mark]
-	e.qhead = len(e.trail)
+	e.satHead = min(e.satHead, bound)
+	e.s.CancelUntil(level)
 }
+
+// decide opens a decision level with l and propagates; on success the
+// bookkeeping is synced. On a conflict the level stays open so the
+// caller can learn from it before popping.
+func (e *Enumerator) decide(l lit.Lit) bool {
+	e.s.Decide(l)
+	if !e.s.Propagate() {
+		return false
+	}
+	e.sync()
+	return true
+}
+
+// pop undoes the topmost decision level.
+func (e *Enumerator) pop() { e.backtrack(e.s.Level() - 1) }
 
 // sig128 is a 128-bit Zobrist hash value.
 type sig128 struct{ a, b uint64 }
@@ -517,20 +378,20 @@ func (e *Enumerator) Enumerate() *Result {
 		e.check = e.opts.Budget.Start()
 	}
 	res := &Result{Manager: e.man}
-	if !e.prepareRoot() {
+	if e.rootUnsat {
 		res.Set = bdd.False
-		res.Stats = e.stats
+		res.Stats = e.Stats()
 		return res
 	}
 	set := e.enumerate()
 	// Fold in projection literals implied at the root level.
-	for _, l := range e.trail {
+	for _, l := range e.s.Trail() {
 		if e.isProj[l.Var()] {
 			set = e.man.And(set, e.man.Lit(l))
 		}
 	}
 	res.Set = set
-	res.Stats = e.stats
+	res.Stats = e.Stats()
 	res.Stats.BDDNodes = e.man.NumNodes()
 	res.Stats.Kernel = e.man.Kernel()
 	res.Aborted = e.aborted
@@ -558,7 +419,7 @@ func (e *Enumerator) enumerate() bdd.Ref {
 	// Next decision: the first unassigned projection variable.
 	v := lit.UndefVar
 	for _, pv := range e.proj {
-		if e.assign[pv] == lit.Unknown {
+		if e.s.Value(pv) == lit.Unknown {
 			v = pv
 			break
 		}
@@ -629,161 +490,28 @@ func (e *Enumerator) branch(dec lit.Lit) bdd.Ref {
 			return bdd.False
 		}
 	}
-	mark := e.pushLevel()
+	mark := len(e.s.Trail())
 	e.stats.Decisions++
-	e.enqueue(dec, nil)
-	if confl := e.bcp(); confl != nil {
+	if !e.decide(dec) {
 		e.stats.Conflicts++
 		if e.opts.EnableLearning {
-			e.learnFrom(confl)
+			e.s.Learn()
 		}
-		e.popLevel()
+		e.pop()
 		return bdd.False
 	}
 	sub := e.enumerate()
 	if sub != bdd.False {
 		// Fold in projection literals implied by this branch (not the
 		// decision itself — the caller encodes that in the ITE).
-		for i := mark + 1; i < len(e.trail); i++ {
-			l := e.trail[i]
+		for _, l := range e.s.Trail()[mark+1:] {
 			if e.isProj[l.Var()] {
 				sub = e.man.And(sub, e.man.Lit(l))
 			}
 		}
 	}
-	e.popLevel()
+	e.pop()
 	return sub
-}
-
-// learnFrom performs first-UIP conflict analysis and installs the learned
-// clause for future propagation. The clause is implied by the original
-// formula, so it can only prune, never change, the solution set.
-func (e *Enumerator) learnFrom(confl *clause) {
-	level := int32(len(e.trailLim))
-	if level == 0 {
-		return
-	}
-	// learntBuf and cleanupBuf are per-enumerator scratch: conflicts are
-	// frequent and the buffers reach steady-state capacity quickly, so the
-	// analysis itself allocates nothing; only a kept clause copies out.
-	e.learntBuf = e.learntBuf[:0]
-	e.cleanupBuf = e.cleanupBuf[:0]
-	pathC := 0
-	idx := len(e.trail) - 1
-	var p lit.Lit = lit.UndefLit
-
-	expand := func(c *clause, skipFirst bool) {
-		start := 0
-		if skipFirst {
-			start = 1
-		}
-		for _, q := range c.lits[start:] {
-			v := q.Var()
-			if e.seen[v] != 0 || e.assign[v] == lit.Unknown {
-				continue
-			}
-			// Root-level literals are globally implied and can be dropped.
-			if e.dlevel[v] == 0 {
-				continue
-			}
-			e.seen[v] = 1
-			e.cleanupBuf = append(e.cleanupBuf, v)
-			if e.dlevel[v] >= level {
-				pathC++
-			} else {
-				e.learntBuf = append(e.learntBuf, q)
-			}
-		}
-	}
-	expand(confl, false)
-	for pathC > 0 {
-		for idx >= 0 && e.seen[e.trail[idx].Var()] == 0 {
-			idx--
-		}
-		if idx < 0 {
-			break
-		}
-		p = e.trail[idx]
-		idx--
-		e.seen[p.Var()] = 0
-		pathC--
-		if pathC == 0 {
-			break
-		}
-		if rc := e.reason[p.Var()]; rc != nil {
-			expand(rc, true)
-		} else {
-			// Reached a decision before the UIP: abandon learning.
-			for _, v := range e.cleanupBuf {
-				e.seen[v] = 0
-			}
-			return
-		}
-	}
-	for _, v := range e.cleanupBuf {
-		e.seen[v] = 0
-	}
-	if !p.IsDef() {
-		return
-	}
-	n := len(e.learntBuf) + 1
-	if e.opts.MaxLearnedLen > 0 && n > e.opts.MaxLearnedLen {
-		return
-	}
-	cl := e.allocLearnt(n)
-	learnt := cl.lits
-	learnt[0] = p.Not()
-	copy(learnt[1:], e.learntBuf)
-	e.learned = append(e.learned, cl)
-	e.learnedLits += n
-	e.stats.BlockingClauses++ // reuse the counter as "learned clauses"
-	e.stats.BlockingLits += uint64(len(learnt))
-	if len(learnt) >= 2 {
-		// Watch the UIP literal and the most recently assigned other
-		// literal, so the clause is inspected as soon as relevant.
-		best := 1
-		for k := 2; k < len(learnt); k++ {
-			if e.trailPos(learnt[k].Var()) > e.trailPos(learnt[best].Var()) {
-				best = k
-			}
-		}
-		learnt[1], learnt[best] = learnt[best], learnt[1]
-		e.attach(cl)
-	}
-}
-
-// Chunk capacities for the learned-clause backing arrays: big enough to
-// amortize allocation, small enough that a mostly-dead chunk pinned by
-// one long-lived clause wastes little.
-const (
-	learntLitChunk    = 1 << 12
-	learntClauseChunk = 256
-)
-
-// allocLearnt returns a learned clause with an n-literal backing slice,
-// both carved from the current chunks (full-capacity slice expression,
-// so later carves cannot alias it).
-func (e *Enumerator) allocLearnt(n int) *clause {
-	if cap(e.litChunk)-len(e.litChunk) < n {
-		c := learntLitChunk
-		if n > c {
-			c = n
-		}
-		e.litChunk = make([]lit.Lit, 0, c)
-	}
-	s := len(e.litChunk)
-	e.litChunk = e.litChunk[:s+n]
-	lits := e.litChunk[s : s+n : s+n]
-	if len(e.clauseChunk) == cap(e.clauseChunk) {
-		e.clauseChunk = make([]clause, 0, learntClauseChunk)
-	}
-	e.clauseChunk = append(e.clauseChunk, clause{lits: lits, learned: true})
-	return &e.clauseChunk[len(e.clauseChunk)-1]
-}
-
-// trailPos returns the trail index of a currently assigned variable.
-func (e *Enumerator) trailPos(v lit.Var) int {
-	return int(e.trailIdx[v])
 }
 
 // abort flags the enumeration as truncated, keeping the first reason.
@@ -803,23 +531,20 @@ func (e *Enumerator) residualSAT() bool {
 		return true
 	}
 	// Find an unsatisfied clause with an unassigned literal.
-	n := len(e.orig)
+	n := len(e.satBy)
 	for scan := 0; scan < n; scan++ {
 		ci := (e.residScan + scan) % n
 		if e.satBy[ci] >= 0 {
 			continue
 		}
 		e.residScan = ci
-		cl := e.orig[ci]
-		for _, l := range cl.lits {
-			if e.litValue(l) != lit.Unknown {
+		for _, l := range e.s.ClauseLits(ci, nil) {
+			if e.s.LitValue(l) != lit.Unknown {
 				continue
 			}
-			e.pushLevel()
 			e.stats.Decisions++
-			e.enqueue(l, nil)
-			ok := e.bcp() == nil && e.residualSAT()
-			e.popLevel()
+			ok := e.decide(l) && e.residualSAT()
+			e.pop()
 			if ok {
 				return true
 			}
@@ -850,11 +575,4 @@ func EnumerateToResult(f *cnf.Formula, space *cube.Space, opts Options) *allsat.
 	}
 	out.Stats.Cubes = uint64(out.Cover.Len())
 	return out
-}
-
-// Count is a convenience that returns only the number of projected
-// solutions.
-func Count(f *cnf.Formula, space *cube.Space, opts Options) *big.Int {
-	e := New(f, space, opts)
-	return e.man.SatCount(e.Enumerate().Set)
 }

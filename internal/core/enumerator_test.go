@@ -9,6 +9,7 @@ import (
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
+	"allsatpre/internal/sat"
 )
 
 func projSpace(vars ...int) *cube.Space {
@@ -239,21 +240,6 @@ func TestMemoSpeedsUpAndAgrees(t *testing.T) {
 	}
 }
 
-func TestLearnedClauseLengthCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(4004))
-	for iter := 0; iter < 40; iter++ {
-		nVars := 5 + rng.Intn(6)
-		f := randomFormula(rng, nVars, 3*nVars, 3)
-		vars := rng.Perm(nVars)[:3]
-		space := projSpace(vars...)
-		a := EnumerateToResult(f, space, Options{EnableLearning: true, MaxLearnedLen: 2})
-		b := EnumerateToResult(f, space, Options{EnableLearning: true})
-		if a.Count.Cmp(b.Count) != 0 {
-			t.Fatalf("iter %d: learned-length cap changed the answer", iter)
-		}
-	}
-}
-
 func TestMaxDecisionsAborts(t *testing.T) {
 	// A tautology over many variables needs many decisions without memo
 	// hits being enough... use memo-off to force work, and a tiny budget.
@@ -295,14 +281,6 @@ func TestPanicsOnProjectionOutsideFormula(t *testing.T) {
 		}
 	}()
 	New(f, projSpace(5), DefaultOptions())
-}
-
-func TestCountHelper(t *testing.T) {
-	f := cnf.New(2)
-	f.Add(lit.Pos(0), lit.Pos(1))
-	if got := Count(f, projSpace(0, 1), DefaultOptions()); got.Cmp(big.NewInt(3)) != 0 {
-		t.Fatalf("Count = %v, want 3", got)
-	}
 }
 
 func TestSolutionBDDIsCanonicalPreimageShape(t *testing.T) {
@@ -396,5 +374,35 @@ func TestKernelStatsPopulated(t *testing.T) {
 	}
 	if k.Nodes != r.Stats.BDDNodes {
 		t.Fatalf("kernel node count %d != BDDNodes %d", k.Nodes, r.Stats.BDDNodes)
+	}
+}
+
+// TestLearntDatabaseBounded pins the bound on the conflict clauses of a
+// long enumeration. They live in the solver's tiered learnt database:
+// the reducible tiers are capped at LearntFactor × problem clauses (at
+// least 100), each reduction round deletes about half of the local tier
+// and grows the cap by LearntGrowth. Over a run that learns L clauses
+// that holds the live population near c0 + 2(LearntGrowth−1)·L; the
+// bound allows twice that, plus the trail, for used-bit protection and
+// the permanent core tier. An enumerator whose learnt list only appends
+// holds all L.
+func TestLearntDatabaseBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	f := randomFormula(rng, 80, 300, 3)
+	space := projSpace(rng.Perm(80)[:24]...)
+	e := New(f, space, DefaultOptions())
+	r := e.Enumerate()
+	so := sat.DefaultOptions()
+	c0 := max(float64(len(f.Clauses))*so.LearntFactor, 100)
+	learnt := float64(r.Stats.Conflicts) // at most one learnt per conflict
+	bound := int(2*(c0+2*(so.LearntGrowth-1)*learnt)) + f.NumVars
+	if learnt < 10*c0 {
+		t.Fatalf("only %v conflicts; the run must outlast many reduction rounds", learnt)
+	}
+	if live := e.LearnedCount(); live > bound {
+		t.Fatalf("%d live learnts after %v conflicts, bound %d", live, learnt, bound)
+	}
+	if peak := int(r.Stats.PeakLearnts); peak == 0 || peak > bound {
+		t.Fatalf("PeakLearnts = %d, want in (0, %d]", peak, bound)
 	}
 }

@@ -8,13 +8,14 @@ package core
 // gated on a fresh activation literal act (every group clause contains
 // ¬act) with AddGroupClause, enumerates under the assumption act, and
 // finally retires the group with RetireGroup(¬act, vars). The unit ¬act
-// permanently satisfies every group clause, so the group can be swept
-// from the watch and occurrence lists without changing the formula's
-// models; learned clauses derived while act was assumable contain ¬act
-// (or only circuit literals) and remain implied by the remaining
-// formula, so they are retained unless they mention a retired variable —
-// those are garbage-collected, since with ¬act forced they are
-// permanently satisfied and would only burden the watch lists.
+// permanently satisfies every group clause, so the group can be
+// tombstoned in the solver's arena (positions kept) and dropped from the
+// occurrence lists without changing the formula's models; learned
+// clauses derived while act was assumable contain ¬act (or only circuit
+// literals) and remain implied by the remaining formula, so they are
+// retained unless they mention a retired variable — the solver drops
+// those, since with ¬act forced they are permanently satisfied and would
+// only burden the watch lists.
 //
 // Memo soundness across retargeting: a memo entry's signature hashes the
 // exact set of (clause, falsified-literal) pairs of the unsatisfied
@@ -28,6 +29,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/lit"
@@ -35,7 +37,8 @@ import (
 
 // RetireStats reports what RetireGroup removed and kept.
 type RetireStats struct {
-	// OrigRetired is the number of group clauses tombstoned.
+	// OrigRetired is the number of group clauses retired: tombstoned, or
+	// never stored because the root assignment already settled them.
 	OrigRetired int
 	// LearnedKept / LearnedDropped split the learned-clause database at
 	// retirement: kept clauses mention no retired variable and survive
@@ -51,33 +54,26 @@ type RetireStats struct {
 }
 
 // NumVars reports the enumerator's current variable count.
-func (e *Enumerator) NumVars() int { return len(e.assign) }
+func (e *Enumerator) NumVars() int { return e.s.NumVars() }
 
 // MemoSize reports the current number of success-memo entries.
 func (e *Enumerator) MemoSize() int { return len(e.memo) }
 
 // LearnedCount reports the current learned-clause count.
-func (e *Enumerator) LearnedCount() int { return len(e.learned) }
+func (e *Enumerator) LearnedCount() int { return e.s.NumLearnts() }
 
 // LearnedLits reports the total literal count of the live learned
 // clauses — the retained-learnt footprint a persistent session carries
 // across retargetings (clause counts alone hide clause length).
-func (e *Enumerator) LearnedLits() int { return e.learnedLits }
+func (e *Enumerator) LearnedLits() int { return e.s.LearntLits() }
 
 // NewVar allocates a fresh variable (for activation literals and
 // per-step selectors). The variable is not a projection variable and
 // does not enter the BDD manager's order.
 func (e *Enumerator) NewVar() lit.Var {
-	v := lit.Var(len(e.assign))
-	e.assign = append(e.assign, lit.Unknown)
-	e.reason = append(e.reason, nil)
-	e.seen = append(e.seen, 0)
-	e.dlevel = append(e.dlevel, 0)
-	e.trailIdx = append(e.trailIdx, 0)
 	e.isProj = append(e.isProj, false)
-	e.watches = append(e.watches, nil, nil)
 	e.occ = append(e.occ, nil, nil)
-	return v
+	return e.s.NewVar()
 }
 
 // AddClause installs a permanent clause at the root level between
@@ -96,6 +92,7 @@ func (e *Enumerator) BeginGroup() {
 	e.nextGroup++
 	e.curGroup = e.nextGroup
 	e.groupClauses = e.groupClauses[:0]
+	e.groupAdded = 0
 }
 
 // AddGroupClause installs a clause belonging to the open group. Every
@@ -109,17 +106,18 @@ func (e *Enumerator) AddGroupClause(lits ...lit.Lit) bool {
 	return e.addDynamic(lits, e.curGroup)
 }
 
-// addDynamic normalizes and installs one clause at the root, aware of
-// the current root assignment: root-true literals set satBy, root-false
-// literals fold their falsity keys into the contribution (so the
+// addDynamic normalizes and installs one clause at the root. The solver
+// settles it against the root assignment: a clause with a root-true
+// literal is not stored, root-false literals are dropped, and a clause
+// left unit is propagated at once. A stored clause therefore starts with
+// every literal unassigned — unsatisfied, no falsity keys — so the
 // residual signature of a later partial assignment matches what a fresh
-// enumerator would compute), and a clause unit under the root assignment
-// is propagated immediately.
+// enumerator over the same clauses would compute.
 func (e *Enumerator) addDynamic(ls []lit.Lit, group int32) bool {
-	if len(e.trailLim) != 0 {
+	if e.s.Level() != 0 {
 		panic("core: clause added above the root level")
 	}
-	if !e.prepareRoot() {
+	if e.rootUnsat {
 		return false
 	}
 	nc, taut := cnf.Clause(ls).Normalize()
@@ -127,85 +125,38 @@ func (e *Enumerator) addDynamic(ls []lit.Lit, group int32) bool {
 		return true
 	}
 	for _, l := range nc {
-		if int(l.Var()) >= len(e.assign) {
+		if int(l.Var()) >= e.s.NumVars() {
 			panic(fmt.Sprintf("core: clause literal %v outside formula; call NewVar first", l))
 		}
 	}
-	if len(nc) == 0 {
-		e.rootUnsat = true
-		return false
-	}
-	ci := int32(len(e.orig))
-	// Root status: earliest satisfying trail position, falsity keys of
-	// root-false literals, and the non-false literals moved to the front
-	// so positions 0 and 1 are valid watches.
-	contrib := clauseBase(ci)
-	satPos := int32(-1)
-	w := 0
-	for i, l := range nc {
-		switch e.litValue(l) {
-		case lit.True:
-			if p := e.trailIdx[l.Var()]; satPos < 0 || p < satPos {
-				satPos = p
-			}
-			nc[w], nc[i] = nc[i], nc[w]
-			w++
-		case lit.Unknown:
-			nc[w], nc[i] = nc[i], nc[w]
-			w++
-		case lit.False:
-			contrib.xor(falseKey(ci, l))
-		}
-	}
-	cl := &clause{lits: nc}
-	e.orig = append(e.orig, cl)
-	e.satBy = append(e.satBy, satPos)
-	e.contrib = append(e.contrib, contrib)
-	e.groupOf = append(e.groupOf, group)
-	if satPos < 0 {
-		e.unsatCnt++
-		e.resid.xor(contrib)
-		if group != 0 {
-			e.dynUnsat++
-		}
-	}
-	for _, l := range nc {
-		e.occ[l] = append(e.occ[l], ci)
-	}
 	if group != 0 {
-		e.groupClauses = append(e.groupClauses, ci)
+		e.groupAdded++
 	}
-	if w >= 2 {
-		e.attach(cl)
-		return true
-	}
-	if satPos >= 0 {
-		return true
-	}
-	if w == 0 {
-		// Every literal is root-false: the formula became UNSAT.
+	ci := int32(e.s.NumClauses())
+	if !e.s.AddClause(nc...) {
 		e.rootUnsat = true
 		return false
 	}
-	// Exactly one non-false literal (now at nc[0], satisfying the
-	// "reason clause leads with its own literal" invariant): unit under
-	// the root assignment — propagate it. enqueue sees this clause in
-	// occ[nc[0]] and marks it satisfied, balancing the counters above.
-	e.enqueue(nc[0], cl)
-	e.stats.Propagations++
-	if e.bcp() != nil {
-		e.rootUnsat = true
-		return false
+	if int(ci) < e.s.NumClauses() {
+		e.track(ci, group)
+		e.litBuf = e.s.ClauseLits(int(ci), e.litBuf)
+		for _, l := range e.litBuf {
+			e.occ[l] = append(e.occ[l], ci)
+		}
+		if group != 0 {
+			e.groupClauses = append(e.groupClauses, ci)
+		}
 	}
+	e.sync()
 	return true
 }
 
 // RetireGroup closes the open group: unit is the negated activation
 // literal (every group clause contains it), vars are the variables
 // private to the group (activation + selectors). The unit is added as a
-// permanent clause, the group's clauses are swept from the watch and
-// occurrence lists, learned clauses mentioning a retired variable are
-// garbage-collected, and memo entries whose residual embedded a live
+// permanent clause, the group's clauses leave the occurrence lists and
+// are tombstoned in the solver, learned clauses mentioning a retired
+// variable are dropped, and memo entries whose residual embedded a live
 // group clause are invalidated. Must be called at the root with no
 // enumeration in flight.
 func (e *Enumerator) RetireGroup(unit lit.Lit, vars []lit.Var) RetireStats {
@@ -213,83 +164,36 @@ func (e *Enumerator) RetireGroup(unit lit.Lit, vars []lit.Var) RetireStats {
 	if e.curGroup == 0 {
 		panic("core: RetireGroup without an open group")
 	}
-	if len(e.trailLim) != 0 {
+	if e.s.Level() != 0 {
 		panic("core: RetireGroup above the root level")
 	}
 	e.curGroup = 0
 	out.VarsRetired = len(vars)
+	group := e.groupClauses
+	e.groupClauses = e.groupClauses[:0]
 	if !e.AddClause(unit) {
 		// Root-UNSAT; nothing else can run on this enumerator.
-		e.groupClauses = e.groupClauses[:0]
 		return out
 	}
-	// 1. Tombstone the group clauses and drop their occurrence entries.
-	// The unit made every one root-satisfied, so removal changes no
-	// model and invalidates no learned clause.
-	for _, ci := range e.groupClauses {
-		cl := e.orig[ci]
-		if cl.dead || e.satBy[ci] < 0 {
-			// satBy < 0 would mean a group clause without the gating
-			// literal — a protocol violation; leave it live rather than
-			// unsoundly deleting a constraint.
+	// The unit made every group clause root-satisfied, so removal changes
+	// no model and invalidates no learned clause. A group clause still
+	// unsatisfied would lack the gating literal — a protocol violation;
+	// it stays live rather than unsoundly deleting a constraint.
+	retire := group[:0]
+	for _, ci := range group {
+		if e.satBy[ci] < 0 {
 			continue
 		}
-		cl.dead = true
-		out.OrigRetired++
-		for _, l := range cl.lits {
-			e.removeOcc(l, ci)
+		e.litBuf = e.s.ClauseLits(int(ci), e.litBuf)
+		for _, l := range e.litBuf {
+			e.occ[l] = slices.DeleteFunc(e.occ[l], func(x int32) bool { return x == ci })
 		}
+		retire = append(retire, ci)
 	}
-	e.groupClauses = e.groupClauses[:0]
-	// 2. GC learned clauses mentioning a retired variable. With the
-	// activation literal forced false they are permanently satisfied (or
-	// mention a forever-unassignable selector) — keeping them would only
-	// burden the watch lists across later steps.
-	for _, v := range vars {
-		e.seen[v] = 1
-	}
-	kept := e.learned[:0]
-	for _, cl := range e.learned {
-		drop := false
-		for _, l := range cl.lits {
-			if e.seen[l.Var()] != 0 {
-				drop = true
-				break
-			}
-		}
-		if drop {
-			cl.dead = true
-			e.learnedLits -= len(cl.lits)
-			out.LearnedDropped++
-		} else {
-			kept = append(kept, cl)
-		}
-	}
-	for i := len(kept); i < len(e.learned); i++ {
-		e.learned[i] = nil
-	}
-	e.learned = kept
-	out.LearnedKept = len(kept)
-	for _, v := range vars {
-		e.seen[v] = 0
-	}
-	// 3. Sweep every watch list once, dropping dead clauses. bcp
-	// migrates watchers between lists, so per-clause unlinking is not
-	// possible; the full sweep between steps is.
-	for li := range e.watches {
-		ws := e.watches[li]
-		outWs := ws[:0]
-		for _, wt := range ws {
-			if !wt.cl.dead {
-				outWs = append(outWs, wt)
-			}
-		}
-		for i := len(outWs); i < len(ws); i++ {
-			ws[i] = watcher{}
-		}
-		e.watches[li] = outWs
-	}
-	// 4. Invalidate memo entries whose residual embedded a group clause.
+	out.OrigRetired = e.groupAdded - (len(group) - len(retire))
+	out.LearnedDropped = e.s.RetireClauses(retire, vars)
+	out.LearnedKept = e.s.NumLearnts()
+	// Invalidate memo entries whose residual embedded a group clause.
 	for _, s := range e.stepSigs {
 		if _, ok := e.memo[s]; ok {
 			delete(e.memo, s)
@@ -298,18 +202,4 @@ func (e *Enumerator) RetireGroup(unit lit.Lit, vars []lit.Var) RetireStats {
 	}
 	e.stepSigs = e.stepSigs[:0]
 	return out
-}
-
-// removeOcc swap-removes clause ci from l's occurrence list. Occurrence
-// order does not influence results (enqueue/popLevel visit all entries),
-// so the in-place shrink is safe.
-func (e *Enumerator) removeOcc(l lit.Lit, ci int32) {
-	occ := e.occ[l]
-	for i, x := range occ {
-		if x == ci {
-			occ[i] = occ[len(occ)-1]
-			e.occ[l] = occ[:len(occ)-1]
-			return
-		}
-	}
 }

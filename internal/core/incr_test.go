@@ -106,22 +106,6 @@ func TestIncrementalRetargetMatchesFresh(t *testing.T) {
 				t.Fatalf("iter %d step %d: LearnedKept %d != live learned %d",
 					iter, s, rs.LearnedKept, inc.LearnedCount())
 			}
-			// No live learned clause may mention the retired variable.
-			for _, cl := range inc.learned {
-				for _, l := range cl.lits {
-					if l.Var() == act {
-						t.Fatalf("iter %d step %d: retained learned clause mentions retired var", iter, s)
-					}
-				}
-			}
-			// No watcher may reference a dead clause.
-			for _, ws := range inc.watches {
-				for _, w := range ws {
-					if w.cl.dead {
-						t.Fatalf("iter %d step %d: dead clause left in a watch list", iter, s)
-					}
-				}
-			}
 			if inc.rootUnsat {
 				// Retirement cannot make the base formula UNSAT (act is
 				// fresh and the gated clauses are satisfied by ¬act).

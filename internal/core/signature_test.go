@@ -40,32 +40,26 @@ func TestResidualHashRestoredOnBacktrack(t *testing.T) {
 	start := e.resid
 	startUnsat := e.unsatCnt
 
-	e.pushLevel()
-	e.enqueue(lit.Pos(0), nil)
-	if e.bcp() != nil {
+	if !e.decide(lit.Pos(0)) {
 		t.Fatal("unexpected conflict")
 	}
 	if e.resid == start {
 		t.Fatal("assignment should change the residual hash")
 	}
-	e.popLevel()
+	e.pop()
 	if e.resid != start || e.unsatCnt != startUnsat {
 		t.Fatalf("residual not restored: unsat %d -> %d", startUnsat, e.unsatCnt)
 	}
 
 	// Two levels, partial pops.
-	e.pushLevel()
-	e.enqueue(lit.Neg(1), nil)
-	e.bcp()
+	e.decide(lit.Neg(1))
 	mid := e.resid
-	e.pushLevel()
-	e.enqueue(lit.Pos(2), nil)
-	e.bcp()
-	e.popLevel()
+	e.decide(lit.Pos(2))
+	e.pop()
 	if e.resid != mid {
 		t.Fatal("inner level not restored")
 	}
-	e.popLevel()
+	e.pop()
 	if e.resid != start {
 		t.Fatal("outer level not restored")
 	}
@@ -79,28 +73,18 @@ func TestEqualResidualsSameHash(t *testing.T) {
 	space := projSpace(0, 1, 2, 3)
 
 	e1 := New(f, space, DefaultOptions())
-	e1.pushLevel()
-	e1.enqueue(lit.Pos(0), nil)
-	e1.bcp()
-	e1.pushLevel()
-	e1.enqueue(lit.Neg(1), nil)
-	e1.bcp()
+	e1.decide(lit.Pos(0))
+	e1.decide(lit.Neg(1))
 
 	e2 := New(f.Clone(), space, DefaultOptions())
-	e2.pushLevel()
-	e2.enqueue(lit.Neg(1), nil)
-	e2.bcp()
-	e2.pushLevel()
-	e2.enqueue(lit.Pos(0), nil)
-	e2.bcp()
+	e2.decide(lit.Neg(1))
+	e2.decide(lit.Pos(0))
 
 	if e1.resid != e2.resid {
 		t.Fatal("identical residuals hash differently")
 	}
 	// And an assignment touching the clause changes it.
-	e2.pushLevel()
-	e2.enqueue(lit.Neg(2), nil)
-	e2.bcp()
+	e2.decide(lit.Neg(2))
 	if e1.resid == e2.resid {
 		t.Fatal("different residuals hash equal")
 	}

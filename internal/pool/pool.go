@@ -34,6 +34,7 @@ import (
 	"allsatpre/internal/cube"
 	"allsatpre/internal/partition"
 	rt "allsatpre/internal/runtime"
+	"allsatpre/internal/sat"
 	"allsatpre/internal/stats"
 )
 
@@ -206,11 +207,13 @@ func shareDecisions(co core.Options, b budget.Budget, n *atomic.Uint64) core.Opt
 func sequential(f *cnf.Formula, space *cube.Space, opts Options) *Result {
 	co := opts.Core
 	co.Budget = opts.Budget
-	if p := opts.Runtime.P(); p != nil {
+	p := opts.Runtime.P()
+	if p != nil {
 		co.Manager = p.AcquireManager(space.Vars(), 0)
 	}
-	e := core.New(f, space, co)
-	r := e.Enumerate()
+	s := p.AcquireSolver(sat.DefaultOptions(), solverHint(f))
+	r := core.NewOn(s, f, space, co).Enumerate()
+	p.ReleaseSolver(s)
 	res := &Result{
 		Manager: r.Manager,
 		Set:     r.Set,
@@ -241,6 +244,21 @@ func EnumerateToResult(f *cnf.Formula, space *cube.Space, opts Options) *allsat.
 	r.Release()
 	return out
 }
+
+// addGauges sums an enumerator's learnt-database gauges into dst: the
+// workers run concurrently, so their footprints add up.
+func addGauges(dst *allsat.Stats, s allsat.Stats) {
+	dst.PeakLearnts += s.PeakLearnts
+	dst.PeakLearntBytes += s.PeakLearntBytes
+	dst.ArenaBytes += s.ArenaBytes
+	dst.LearntsCore += s.LearntsCore
+	dst.LearntsTier2 += s.LearntsTier2
+	dst.LearntsLocal += s.LearntsLocal
+}
+
+// solverHint is the size-class hint for a pooled solver over f, the
+// same estimate the allsat engines use.
+func solverHint(f *cnf.Formula) uint64 { return uint64(f.NumVars) * 64 }
 
 // addCounters accumulates the monotone counter fields (gauge-like fields
 // — BDDNodes, Kernel — are aggregated from the enumerators at the end).

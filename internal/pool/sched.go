@@ -37,6 +37,7 @@ import (
 	"allsatpre/internal/lit"
 	"allsatpre/internal/partition"
 	rt "allsatpre/internal/runtime"
+	"allsatpre/internal/sat"
 )
 
 // mergeMsg is one job's message to the merge loop: a split notice, or
@@ -47,10 +48,12 @@ type mergeMsg struct {
 	stats allsat.Stats
 }
 
-// slot is a stashed enumerator with its decision count at the start of
-// the run, so the per-enumerator load figures cover this run only.
+// slot is a stashed enumerator with its solver and its decision count
+// at the start of the run, so the per-enumerator load figures cover this
+// run only.
 type slot struct {
 	e       *core.Enumerator
+	s       *sat.Solver
 	decBase uint64
 }
 
@@ -133,8 +136,8 @@ func (r *schedRun) run(tasks []partition.Subcube, man *bdd.Manager, nodeCap int,
 	}
 
 	// Every enumerator is back in the stash: fold in its gauges, and
-	// return the run's own managers to the pool (snapshots are deep
-	// copies, so the merged set never references them).
+	// return the run's own solvers and managers to the pool (snapshots
+	// are deep copies, so the merged set never references them).
 	var kernel bdd.KernelStats
 	nodes := 0
 	pst.MinWorkerDecisions = ^uint64(0)
@@ -143,11 +146,14 @@ func (r *schedRun) run(tasks []partition.Subcube, man *bdd.Manager, nodeCap int,
 		m := s.e.Manager()
 		kernel.Merge(m.Kernel())
 		nodes += m.NumNodes()
-		d := s.e.Stats().Decisions - s.decBase
+		st := s.e.Stats()
+		addGauges(&total, st)
+		d := st.Decisions - s.decBase
 		pst.MaxWorkerDecisions = max(pst.MaxWorkerDecisions, d)
 		pst.MinWorkerDecisions = min(pst.MinWorkerDecisions, d)
 		if !r.persistent {
 			r.rt.P().ReleaseManager(m)
+			r.rt.P().ReleaseSolver(s.s)
 		}
 	}
 	if pst.MinWorkerDecisions == ^uint64(0) {
@@ -229,10 +235,12 @@ func (r *schedRun) acquire() slot {
 	}
 	if int(r.created.Add(1)) <= cap(r.stash) {
 		co := r.core
-		if p := r.rt.P(); p != nil {
+		p := r.rt.P()
+		if p != nil {
 			co.Manager = p.AcquireManager(r.space.Vars(), 0)
 		}
-		return slot{e: core.New(r.f, r.space, co)}
+		s := p.AcquireSolver(sat.DefaultOptions(), solverHint(r.f))
+		return slot{e: core.NewOn(s, r.f, r.space, co), s: s}
 	}
 	r.created.Add(-1)
 	return <-r.stash

@@ -22,6 +22,7 @@ import (
 	"allsatpre/internal/lit"
 	"allsatpre/internal/partition"
 	rt "allsatpre/internal/runtime"
+	"allsatpre/internal/sat"
 )
 
 // Session owns a set of persistent enumerators and their merge manager.
@@ -29,6 +30,8 @@ import (
 type Session struct {
 	space   *cube.Space
 	es      []*core.Enumerator
+	solvers []*sat.Solver // the enumerators' solvers, returned to pool at Close
+	pool    *rt.Pool
 	man     *bdd.Manager
 	workers int
 	thresh  uint64
@@ -59,7 +62,8 @@ type SessionRetireStats struct {
 // enumerator's own manager (no snapshot round-trips at all); with more,
 // per-run snapshots merge into one persistent parent manager whose
 // variable order is the projection order. Core.Budget is ignored; pass
-// the session budget (covering all runs) in Budget.
+// the session budget (covering all runs) in Budget. The worker solvers
+// come warm from Runtime's pool when it has one, and go back at Close.
 func NewSession(f *cnf.Formula, space *cube.Space, opts Options) *Session {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -78,6 +82,7 @@ func NewSession(f *cnf.Formula, space *cube.Space, opts Options) *Session {
 
 	s := &Session{
 		space:   space,
+		pool:    opts.Runtime.P(),
 		workers: workers,
 		budget:  b,
 		cancel:  cancel,
@@ -85,8 +90,10 @@ func NewSession(f *cnf.Formula, space *cube.Space, opts Options) *Session {
 	s.prefix, s.thresh = opts.split(space, workers)
 	co := shareDecisions(opts.Core, b, &s.decisions)
 	s.es = make([]*core.Enumerator, workers)
+	s.solvers = make([]*sat.Solver, workers)
 	for i := range s.es {
-		s.es[i] = core.New(f, space, co)
+		s.solvers[i] = s.pool.AcquireSolver(sat.DefaultOptions(), solverHint(f))
+		s.es[i] = core.NewOn(s.solvers[i], f, space, co)
 	}
 	if workers == 1 {
 		s.man = s.es[0].Manager()
@@ -96,8 +103,15 @@ func NewSession(f *cnf.Formula, space *cube.Space, opts Options) *Session {
 	return s
 }
 
-// Close releases the session's context. Run must not be called after.
-func (s *Session) Close() { s.cancel() }
+// Close releases the session's context and returns the worker solvers
+// to the runtime pool. No method but Manager may be called after.
+func (s *Session) Close() {
+	s.cancel()
+	for i, sv := range s.solvers {
+		s.pool.ReleaseSolver(sv)
+		s.solvers[i] = nil
+	}
+}
 
 // Workers reports the effective worker count.
 func (s *Session) Workers() int { return s.workers }

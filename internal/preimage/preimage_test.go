@@ -349,3 +349,27 @@ func TestSuccessDrivenCacheActivity(t *testing.T) {
 		t.Error("no cache lookups recorded")
 	}
 }
+
+// TestSuccessDrivenLearntCounters pins how the success-driven engine
+// reports its clause database: its conflict clauses are learnts in the
+// solver's tiered database, counted in PeakLearnts like every other SAT
+// engine's, and it adds no blocking clauses.
+func TestSuccessDrivenLearntCounters(t *testing.T) {
+	c := gen.MultCore(6)
+	r, err := Compute(c, trans.TargetFromPatterns(len(c.Latches), "101101"),
+		Options{Engine: EngineSuccessDriven})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Stats.Conflicts == 0 {
+		t.Fatal("no conflicts: the instance no longer exercises learning")
+	}
+	if r.Stats.BlockingClauses != 0 || r.Stats.BlockingLits != 0 {
+		t.Fatalf("BlockingClauses = %d, BlockingLits = %d, want 0",
+			r.Stats.BlockingClauses, r.Stats.BlockingLits)
+	}
+	if r.Stats.PeakLearnts == 0 || r.Stats.PeakLearntBytes == 0 {
+		t.Fatalf("PeakLearnts = %d, PeakLearntBytes = %d, want > 0",
+			r.Stats.PeakLearnts, r.Stats.PeakLearntBytes)
+	}
+}

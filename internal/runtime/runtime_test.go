@@ -116,7 +116,7 @@ func TestPoolSizeClassPreference(t *testing.T) {
 	for i := 0; i < 1999; i++ {
 		f.Add(lit.New(lit.Var(i), false), lit.New(lit.Var(i+1), true))
 	}
-	big.AddFormula(f)
+	big.LoadFormula(f)
 	p.ReleaseSolver(small)
 	p.ReleaseSolver(big)
 	got := p.AcquireSolver(sat.DefaultOptions(), big.RetainedBytes())

@@ -25,7 +25,7 @@ func (s *Solver) fixBinaryReason(c cref, p lit.Lit) {
 func (s *Solver) useLearnt(c cref) {
 	s.claBump(c)
 	s.ca.setUsed(c)
-	d := s.computeLBDWords(s.ca.lits(c))
+	d := computeLBD(s, s.ca.lits(c))
 	if d < s.ca.lbd(c) {
 		s.ca.setLBD(c, d)
 		t := tierFor(s.ca.size(c), d)
@@ -127,52 +127,27 @@ func (s *Solver) analyze(confl cref) (learnt []lit.Lit, btLevel, lbd int) {
 	}
 
 	s.learntBuf = learnt
-	return learnt, btLevel, s.computeLBD(learnt)
+	return learnt, btLevel, computeLBD(s, learnt)
 }
 
-// computeLBD counts the distinct decision levels among the literals using
-// a generation-stamped scratch array: one conflict bumps the generation,
-// so clearing is free and the hot path allocates nothing (the map this
-// replaces cost one allocation plus hashing per conflict — see
-// BenchmarkAnalyzeLBD).
-func (s *Solver) computeLBD(lits []lit.Lit) (lbd int) {
+// computeLBD counts the distinct decision levels among the literals (a
+// learnt clause, or a clause's raw arena words) using a generation-
+// stamped scratch array: one call bumps the generation, so clearing is
+// free and the hot path allocates nothing (the map this replaces cost one
+// allocation plus hashing per conflict — see BenchmarkAnalyzeLBD).
+func computeLBD[L lit.Lit | uint32](s *Solver, lits []L) (lbd int) {
 	s.lbdGen++
 	if s.lbdGen == 0 {
 		// Generation counter wrapped: wipe stale stamps so marks from
 		// 2^32 conflicts ago cannot read as current.
-		for i := range s.lbdStamp {
-			s.lbdStamp[i] = 0
-		}
+		clear(s.lbdStamp)
 		s.lbdGen = 1
 	}
 	for _, q := range lits {
-		lvl := s.level[q.Var()]
+		lvl := s.level[lit.Lit(q).Var()]
 		if lvl >= len(s.lbdStamp) {
 			// Levels are bounded by the variable count; grow once to the
 			// current need and amortize like any scratch slice.
-			s.lbdStamp = append(s.lbdStamp, make([]uint32, lvl+1-len(s.lbdStamp))...)
-		}
-		if s.lbdStamp[lvl] != s.lbdGen {
-			s.lbdStamp[lvl] = s.lbdGen
-			lbd++
-		}
-	}
-	return lbd
-}
-
-// computeLBDWords is computeLBD over a clause's raw arena words, used for
-// the LBD recomputation on use without materializing a []lit.Lit.
-func (s *Solver) computeLBDWords(words []uint32) (lbd int) {
-	s.lbdGen++
-	if s.lbdGen == 0 {
-		for i := range s.lbdStamp {
-			s.lbdStamp[i] = 0
-		}
-		s.lbdGen = 1
-	}
-	for _, w := range words {
-		lvl := s.level[lit.Lit(w).Var()]
-		if lvl >= len(s.lbdStamp) {
 			s.lbdStamp = append(s.lbdStamp, make([]uint32, lvl+1-len(s.lbdStamp))...)
 		}
 		if s.lbdStamp[lvl] != s.lbdGen {
@@ -230,6 +205,15 @@ func (s *Solver) analyzeFinal(p lit.Lit) {
 		return
 	}
 	s.seen[p.Var()] = 1
+	s.collectFinal()
+	s.seen[p.Var()] = 0
+}
+
+// collectFinal walks the trail above the root top-down from the marked
+// variables, expanding implied ones through their reasons and appending
+// the negation of every marked decision to conflictOut. It clears the
+// marks it visits.
+func (s *Solver) collectFinal() {
 	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
 		v := s.trail[i].Var()
 		if s.seen[v] == 0 {
@@ -250,5 +234,4 @@ func (s *Solver) analyzeFinal(p lit.Lit) {
 		}
 		s.seen[v] = 0
 	}
-	s.seen[p.Var()] = 0
 }

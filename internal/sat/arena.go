@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math"
+	"slices"
 
 	"allsatpre/internal/lit"
 )
@@ -85,6 +86,11 @@ func hdrWords(h uint32) cref {
 // alloc appends a clause and returns its cref. len(ls) must be ≥ 2
 // (units propagate instead of being stored).
 func (a *arena) alloc(ls []lit.Lit, learnt bool) cref {
+	// Grow by doubling: append's growth factor falls towards 1.25× for
+	// large slices, which would copy the whole arena every few learnts.
+	if need := len(ls) + 3; cap(a.data)-len(a.data) < need {
+		a.data = slices.Grow(a.data, max(need, len(a.data)))
+	}
 	c := cref(len(a.data))
 	h := uint32(len(ls)) << caSizeShift
 	if learnt {
@@ -198,7 +204,7 @@ func (a *arena) reloc(c cref, to *arena) cref {
 // dereferences) are cleared to crefUndef.
 func (s *Solver) garbageCollect() {
 	to := arena{data: make([]uint32, 0, len(s.ca.data)-int(s.ca.wasted))}
-	// Binary watchers: binaries are only deleted by Simplify, which
+	// Binary watchers: binaries are only deleted by RetireClauses, which
 	// sweeps them eagerly, but stay defensive and drop tombstones here
 	// too.
 	for li := range s.binWatches {
@@ -239,12 +245,22 @@ func (s *Solver) garbageCollect() {
 		}
 	}
 	// Problem-clause list: updated in place, position-preserving, through
-	// the backing array — ChronoEnum's shared view and its index-based
-	// occurrence lists stay valid. Deleted entries (possible only between
-	// a Simplify mark and its own filter, never here) are carried over as
-	// tombstones rather than dropped, so indices never shift.
+	// the backing array — ChronoEnum's shared view and the index-keyed
+	// state of kernel drivers stay valid. Deleted entries (clauses retired
+	// by RetireClauses) keep their positions but not their literals: they
+	// all forward to one shared header-only tombstone, which is live
+	// structure, not waste.
+	stub := crefUndef
 	for i, c := range s.clauses {
-		s.clauses[i] = s.ca.reloc(c, &to)
+		if !s.ca.isDeleted(c) {
+			s.clauses[i] = s.ca.reloc(c, &to)
+			continue
+		}
+		if stub == crefUndef {
+			stub = cref(len(to.data))
+			to.data = append(to.data, caDeleted)
+		}
+		s.clauses[i] = stub
 	}
 	// Learnt list: nothing holds indices into it, so drop tombstones.
 	out := s.learnts[:0]

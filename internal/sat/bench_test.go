@@ -65,7 +65,7 @@ func BenchmarkAnalyzeLBD(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := s.computeLBD(lits); got != len(lits)/2 {
+		if got := computeLBD(s, lits); got != len(lits)/2 {
 			b.Fatalf("lbd = %d, want %d", got, len(lits)/2)
 		}
 	}

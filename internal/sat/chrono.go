@@ -52,7 +52,7 @@ type ChronoEnum struct {
 	//
 	// clauses SHARES the solver's problem-clause slice: the occurrence
 	// lists hold positions into it, and arena compaction (reachable from
-	// learnFrom's reduceDB) rewrites the crefs in place position-preserving
+	// learnAttached's reduceDB) rewrites the crefs in place position-preserving
 	// precisely so these indexes survive.
 	clauses  []cref
 	occ      [][]int32 // literal -> clause indexes
@@ -63,7 +63,6 @@ type ChronoEnum struct {
 	flipped []bool    // by decision level (flipped[l-1] for level l)
 	cube    []lit.Lit // projection literals of the last emitted cube
 
-	learn            bool
 	exhausted        bool
 	stopped          bool
 	conflictsAtStart uint64
@@ -86,29 +85,22 @@ func NewChronoEnum(s *Solver, proj []lit.Var) *ChronoEnum {
 	}
 	s.EnsureVars(maxVar)
 	e := &ChronoEnum{
-		s:     s,
-		proj:  append([]lit.Var(nil), proj...),
-		learn: true,
+		s:    s,
+		proj: append([]lit.Var(nil), proj...),
 	}
 	e.isProj = make([]bool, s.NumVars())
 	for _, v := range proj {
 		e.isProj[v] = true
 	}
 	e.clauses = s.clauses
-	e.occ = make([][]int32, 2*s.NumVars())
+	e.occ = s.Occurrences()
 	e.satBy = make([]int32, len(e.clauses))
-	for ci, c := range e.clauses {
+	for ci := range e.satBy {
 		e.satBy[ci] = -1
-		for _, w := range s.ca.lits(c) {
-			e.occ[w] = append(e.occ[w], int32(ci))
-		}
 	}
 	e.unsatCnt = len(e.clauses)
 	e.conflictsAtStart = s.stats.Conflicts
-	s.maxLearnts = float64(len(s.clauses)) * s.opts.LearntFactor
-	if s.maxLearnts < 100 {
-		s.maxLearnts = 100
-	}
+	s.resetLearntCap()
 	return e
 }
 
@@ -155,9 +147,7 @@ func (e *ChronoEnum) Next() Status {
 				e.stopped = true
 				return Unknown
 			}
-			if e.learn {
-				e.learnFrom(confl)
-			}
+			s.learnAttached(confl)
 			if !e.advance() {
 				e.exhausted = true
 				return Unsat
@@ -322,35 +312,5 @@ func (e *ChronoEnum) emit() {
 	e.cancelToLevel(b)
 	if !e.advance() {
 		e.exhausted = true
-	}
-}
-
-// learnFrom runs first-UIP analysis and stores the learnt clause
-// attach-only: it joins the watch lists (pruning future descents) but is
-// never used as an enqueue reason here, so chronological flipping keeps
-// full control of the trail. The clause is implied by the formula alone —
-// flipped decisions resolve like ordinary decisions — so it can never
-// exclude an unenumerated model; deleting one is therefore sound, and the
-// attach-only learnts go through the same tiered database as CDCL
-// learnts. The tier rules give them exactly the protection they need: a
-// clause that prunes a descent participates in the conflict analysis,
-// which sets its used bit (and may promote it), and reduceDB never
-// deletes a used clause — so a learnt cannot be dropped in the same
-// round it pruned a subtree (pinned by TestChronoAttachOnlySurvival).
-func (e *ChronoEnum) learnFrom(confl cref) {
-	s := e.s
-	learnt, _, lbd := s.analyze(confl)
-	s.varDecay()
-	s.claDecay()
-	if len(learnt) < 2 {
-		// Unit (or empty) consequences are rediscovered by propagation;
-		// installing them mid-tree would need out-of-order enqueueing.
-		return
-	}
-	s.installLearnt(learnt, lbd)
-	s.stats.Learned++
-	s.stats.LearnedLits += uint64(len(learnt))
-	if s.reduceNeeded() {
-		s.reduceDB()
 	}
 }

@@ -231,7 +231,7 @@ func TestChronoAttachOnlySurvival(t *testing.T) {
 	s := NewDefault()
 	nVars := 24
 	s.EnsureVars(nVars)
-	// The protected clause: installed exactly the way ChronoEnum.learnFrom
+	// The protected clause: installed exactly the way Solver.learnAttached
 	// installs an attach-only learnt, with a worst-possible profile — local
 	// tier (huge LBD), zero activity — then marked used, as conflict
 	// analysis does when the clause prunes a descent.

@@ -1,10 +1,6 @@
 package sat
 
-import (
-	"math/rand"
-
-	"allsatpre/internal/budget"
-)
+import "allsatpre/internal/budget"
 
 // Reset returns the solver to the state New(opts) produces — no
 // variables, no clauses, pristine statistics — while keeping every
@@ -17,7 +13,7 @@ import (
 // A Reset solver is behaviourally indistinguishable from a fresh one:
 // crefs are arena offsets (capacity never shifts them), watch-list
 // order is determined by the attach/propagate sequence (not capacity),
-// activities restart at zero, and the RNG is reseeded from opts.Seed —
+// activities restart at zero, and the RNG restarts from opts.Seed —
 // so loading the same formula yields bit-identical Solve trajectories.
 // The reuse equivalence suite pins this contract.
 func (s *Solver) Reset(opts Options) {
@@ -60,7 +56,7 @@ func (s *Solver) Reset(opts Options) {
 	s.learntWords = 0
 
 	s.okay = true
-	s.rng = rand.New(rand.NewSource(opts.Seed))
+	s.rng = nil
 	s.maxLearnts = 0
 	s.assumptions = s.assumptions[:0]
 	s.conflictOut = s.conflictOut[:0]

@@ -18,7 +18,7 @@ type solveTrace struct {
 }
 
 func traceOf(s *Solver, f *cnf.Formula) solveTrace {
-	if !s.AddFormula(f) {
+	if !s.LoadFormula(f) {
 		return solveTrace{status: Unsat, stats: s.Stats()}
 	}
 	st := s.Solve()
@@ -73,7 +73,7 @@ func TestResetBitIdentical(t *testing.T) {
 func TestResetAfterAbort(t *testing.T) {
 	s := New(Options{Budget: budget.Budget{MaxConflicts: 3}})
 	hard := pigeonhole(6)
-	if !s.AddFormula(hard) {
+	if !s.LoadFormula(hard) {
 		t.Fatal("pigeonhole trivially unsat at load")
 	}
 	if st := s.Solve(); st != Unknown {

@@ -35,10 +35,7 @@ func (s *Solver) Solve(assumptions ...lit.Lit) Status {
 	}
 	s.assumptions = assumptions
 
-	s.maxLearnts = float64(len(s.clauses)) * s.opts.LearntFactor
-	if s.maxLearnts < 100 {
-		s.maxLearnts = 100
-	}
+	s.resetLearntCap()
 
 	var curRestart uint64 = 1
 	conflictsAtStart := s.stats.Conflicts
@@ -197,10 +194,16 @@ func (s *Solver) locked(c cref) bool {
 	return s.assign[v] != lit.Unknown && s.reason[v] == c
 }
 
-// removeLearnt tombstones a learnt clause: proof deletion, tier and
+// resetLearntCap sets the reducible learnt population's cap from the
+// current problem-clause count, as every Solve and enumeration starts.
+func (s *Solver) resetLearntCap() {
+	s.maxLearnts = max(float64(len(s.clauses))*s.opts.LearntFactor, 100)
+}
+
+// deleteLearnt tombstones a learnt clause: proof deletion, tier and
 // footprint bookkeeping, arena waste accounting. Watch lists drop the
 // tombstone lazily; garbage collection reclaims the words.
-func (s *Solver) removeLearnt(c cref) {
+func (s *Solver) deleteLearnt(c cref) {
 	if s.proof != nil {
 		s.tmpLits = s.ca.litsBuf(c, s.tmpLits)
 		s.proof.deleteClause(s.tmpLits)
@@ -208,7 +211,6 @@ func (s *Solver) removeLearnt(c cref) {
 	s.bumpTier(s.ca.tier(c), -1)
 	s.learntWords -= uint64(s.ca.words(c))
 	s.ca.setDeleted(c)
-	s.stats.Reduced++
 }
 
 // reduceDB manages the tiered learnt database, Glucose-style:
@@ -275,7 +277,8 @@ func (s *Solver) reduceDB() {
 		if s.locked(c) {
 			continue
 		}
-		s.removeLearnt(c)
+		s.deleteLearnt(c)
+		s.stats.Reduced++
 		removed++
 	}
 	kept := s.learnts[:0]
@@ -290,73 +293,4 @@ func (s *Solver) reduceDB() {
 	if s.ca.gcNeeded() {
 		s.garbageCollect()
 	}
-}
-
-// Simplify removes problem and learnt clauses satisfied at level 0. Must be
-// called at decision level 0. Binary watch lists are swept eagerly (they
-// have no lazy-drop path); long watch lists shed tombstones lazily or at
-// the compaction this may trigger.
-func (s *Solver) Simplify() bool {
-	if s.decisionLevel() != 0 {
-		panic("sat: Simplify above level 0")
-	}
-	if !s.okay {
-		return false
-	}
-	if s.propagate() != crefUndef {
-		s.okay = false
-		return false
-	}
-	satisfied := func(c cref) bool {
-		for _, w := range s.ca.lits(c) {
-			l := lit.Lit(w)
-			if s.LitValue(l) == lit.True && s.level[l.Var()] == 0 {
-				return true
-			}
-		}
-		return false
-	}
-	anyDeleted := false
-	filter := func(cs []cref, learnt bool) []cref {
-		out := cs[:0]
-		for _, c := range cs {
-			if s.ca.isDeleted(c) {
-				continue
-			}
-			if satisfied(c) {
-				if learnt {
-					s.bumpTier(s.ca.tier(c), -1)
-					s.learntWords -= uint64(s.ca.words(c))
-				}
-				if s.proof != nil {
-					s.tmpLits = s.ca.litsBuf(c, s.tmpLits)
-					s.proof.deleteClause(s.tmpLits)
-				}
-				s.ca.setDeleted(c)
-				anyDeleted = true
-				continue
-			}
-			out = append(out, c)
-		}
-		return out
-	}
-	s.clauses = filter(s.clauses, false)
-	s.learnts = filter(s.learnts, true)
-	if anyDeleted {
-		for li := range s.binWatches {
-			ws := s.binWatches[li]
-			out := ws[:0]
-			for _, w := range ws {
-				if s.ca.isDeleted(cref(w.c)) {
-					continue
-				}
-				out = append(out, w)
-			}
-			s.binWatches[li] = out
-		}
-	}
-	if s.ca.gcNeeded() {
-		s.garbageCollect()
-	}
-	return true
 }

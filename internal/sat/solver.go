@@ -11,8 +11,10 @@
 // that propagate without touching clause memory at all. Deleted clauses
 // are compacted away by relocation-safe garbage collection.
 //
-// It is the workhorse beneath the all-solutions enumeration engines in
-// internal/allsat and the blocking-clause preimage baseline.
+// It is the one propagation kernel beneath every enumeration engine: the
+// engines in internal/allsat, the blocking-clause preimage baseline, and
+// the success-driven enumerator in internal/core, which makes its own
+// decisions through the kernel surface in kernel.go.
 //
 // # Activation-literal protocol
 //
@@ -134,10 +136,11 @@ type Solver struct {
 	nCore, nTier2, nLocal int
 	learntWords           uint64
 
-	okay        bool // false once a top-level conflict is found
-	rng         *rand.Rand
+	okay        bool       // false once a top-level conflict is found
+	rng         *rand.Rand // random decisions; seeded on first use
 	maxLearnts  float64
 	assumptions []lit.Lit
+	confl       cref      // conflict of the last Propagate (kernel surface)
 	conflictOut []lit.Lit // final conflict over assumptions
 	model       []bool    // snapshot of the last satisfying assignment
 	proof       *proofLogger
@@ -173,7 +176,6 @@ func New(opts Options) *Solver {
 		varInc: 1.0,
 		claInc: 1.0,
 		okay:   true,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
 	}
 	s.order = newVarHeap(&s.activity)
 	return s
@@ -207,6 +209,7 @@ func (s *Solver) LoadFormula(f *cnf.Formula) bool {
 			ok = false
 		}
 	}
+	s.resetLearntCap()
 	return ok
 }
 
@@ -264,7 +267,7 @@ func (s *Solver) NewVar() lit.Var {
 
 // EnsureVars allocates variables until at least n exist. The per-variable
 // slices are grown once up front, so a bulk reservation (FromFormula,
-// AddFormula) costs one reallocation per slice instead of an amortized
+// LoadFormula) costs one reallocation per slice instead of an amortized
 // doubling chain through NewVar.
 func (s *Solver) EnsureVars(n int) {
 	extra := n - len(s.assign)
@@ -279,6 +282,8 @@ func (s *Solver) EnsureVars(n int) {
 	s.seen = slices.Grow(s.seen, extra)
 	s.watches = slices.Grow(s.watches, 2*extra)
 	s.binWatches = slices.Grow(s.binWatches, 2*extra)
+	s.order.heap = slices.Grow(s.order.heap, extra)
+	s.order.indices = slices.Grow(s.order.indices, extra)
 	for len(s.assign) < n {
 		s.NewVar()
 	}
@@ -403,18 +408,6 @@ func (s *Solver) AddClause(ls ...lit.Lit) bool {
 	cr := s.ca.alloc(c, false)
 	s.clauses = append(s.clauses, cr)
 	s.attach(cr)
-	return true
-}
-
-// AddFormula adds every clause of f; returns false on top-level conflict.
-func (s *Solver) AddFormula(f *cnf.Formula) bool {
-	s.EnsureVars(f.NumVars)
-	s.clauses = slices.Grow(s.clauses, len(f.Clauses))
-	for _, c := range f.Clauses {
-		if !s.AddClause(c...) {
-			return false
-		}
-	}
 	return true
 }
 
@@ -605,6 +598,37 @@ func (s *Solver) installLearnt(ls []lit.Lit, lbd int) cref {
 	return c
 }
 
+// learnAttached runs first-UIP analysis on a conflict and stores the
+// learnt clause attach-only: it joins the watch lists (pruning future
+// descents) but is not enqueued as the asserting clause, so the caller
+// keeps full control of the trail — ChronoEnum flips decisions in place,
+// the success-driven enumerator explores both phases of every decision.
+// The clause is implied by the formula alone (flipped decisions and
+// assumptions resolve like ordinary decisions), so it can never exclude
+// an unenumerated model, and deleting it is sound: the attach-only
+// learnts go through the same tiered database as CDCL learnts. The tier
+// rules give them exactly the protection they need: a clause that
+// prunes a descent participates in the conflict analysis, which sets its
+// used bit (and may promote it), and reduceDB never deletes a used or
+// locked clause — so a learnt cannot be dropped in the same round it
+// pruned a subtree (pinned by TestChronoAttachOnlySurvival).
+func (s *Solver) learnAttached(confl cref) {
+	learnt, _, lbd := s.analyze(confl)
+	s.varDecay()
+	s.claDecay()
+	if len(learnt) < 2 {
+		// Unit (or empty) consequences are rediscovered by propagation;
+		// installing them mid-tree would need out-of-order enqueueing.
+		return
+	}
+	s.installLearnt(learnt, lbd)
+	s.stats.Learned++
+	s.stats.LearnedLits += uint64(len(learnt))
+	if s.reduceNeeded() {
+		s.reduceDB()
+	}
+}
+
 func (s *Solver) bumpTier(t uint32, d int) {
 	switch t {
 	case tierCore:
@@ -620,6 +644,9 @@ func (s *Solver) bumpTier(t uint32, d int) {
 // variables are assigned.
 func (s *Solver) pickBranchLit() lit.Lit {
 	var v lit.Var = lit.UndefVar
+	if s.opts.RandomFreq > 0 && s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.opts.Seed))
+	}
 	if s.opts.RandomFreq > 0 && s.rng.Float64() < s.opts.RandomFreq && !s.order.empty() {
 		cand := s.order.heap[s.rng.Intn(len(s.order.heap))]
 		if s.assign[cand] == lit.Unknown {

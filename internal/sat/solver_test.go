@@ -377,22 +377,6 @@ func TestReduceDBKeepsSoundness(t *testing.T) {
 	}
 }
 
-func TestSimplifyKeepsAnswer(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for iter := 0; iter < 50; iter++ {
-		nVars := 5 + rng.Intn(6)
-		f := randomFormula(rng, nVars, 3*nVars, 3)
-		want := f.CountModels() > 0
-		s := FromFormula(f, DefaultOptions())
-		s.Solve()
-		s.Simplify()
-		st := s.Solve()
-		if want && st != Sat || !want && st != Unsat {
-			t.Fatalf("iter %d: after Simplify got %v, want sat=%v", iter, st, want)
-		}
-	}
-}
-
 func TestLuby(t *testing.T) {
 	want := []uint64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8}
 	for i, w := range want {
@@ -405,7 +389,7 @@ func TestLuby(t *testing.T) {
 func TestStatsProgress(t *testing.T) {
 	s := NewDefault()
 	f := randomFormula(rand.New(rand.NewSource(3)), 12, 50, 3)
-	s.AddFormula(f)
+	s.LoadFormula(f)
 	s.Solve()
 	st := s.Stats()
 	if st.Decisions == 0 && st.Propagations == 0 {

@@ -23,7 +23,9 @@ GOMAXPROCS=4 go test -race -run 'TestSimplify' ./internal/preimage/
 # The executor packages under real preemption and the race detector: a
 # one-core host runs every subcube job in one order and cannot expose a
 # scheduling-order assumption in a test or a race in the job plumbing.
-GOMAXPROCS=4 go test -race ./internal/server/ ./internal/allsat/ ./internal/pool/ ./internal/runtime/
+# core and incr join them for clause-group retirement and learnt-database
+# reduction on the shared propagation kernel.
+GOMAXPROCS=4 go test -race ./internal/server/ ./internal/allsat/ ./internal/pool/ ./internal/runtime/ ./internal/core/ ./internal/incr/
 go test -run '^$' -bench 'Table|ParallelEnumerate|ReachIncremental|Simplify' -benchtime=1x -benchmem .
 # Loadbench smoke: one request per mode through BenchmarkServerLoad
 # (scripts/loadbench.sh runs the real measurement). Catches harness rot
