@@ -340,16 +340,14 @@ type DimacsOptions struct {
 	// Proj lists 1-based DIMACS projection variables; nil uses the file's
 	// "c proj" line, or all variables.
 	Proj []int
-	// Preprocess applies model-preserving CNF reductions (subsumption,
-	// self-subsuming resolution, unit propagation) before enumeration.
-	// Unlike Simplify it never eliminates variables, so total models are
-	// preserved, not just the projection.
-	Preprocess bool
 	// Simplify controls the projection-safe preprocessing pass
-	// (internal/simplify): non-projection variables may be resolved away
-	// entirely — the enumerated projected cover is unchanged, but models
-	// of the simplified formula are partial with respect to the original.
-	// Auto resolves to on.
+	// (internal/simplify: units, subsumption, self-subsuming resolution,
+	// failed-literal probing, bounded variable elimination). Projection
+	// variables are frozen and never eliminated; non-projection variables
+	// may be resolved away entirely — the enumerated projected cover is
+	// unchanged, but models of the simplified formula are partial with
+	// respect to the original. With every variable projected (the
+	// default) the exact model set is preserved. Auto resolves to on.
 	Simplify SimplifyMode
 	// Budget bounds the enumeration; a tripped limit yields a partial
 	// cover with Aborted set on the result (sound under-approximation).
@@ -382,16 +380,6 @@ func EnumerateDimacsOpts(r io.Reader, o DimacsOptions) (*allsat.Result, error) {
 	f, fileProj, err := cnf.ParseDimacs(r)
 	if err != nil {
 		return nil, err
-	}
-	if o.Preprocess {
-		nVars := f.NumVars
-		if pres := cnf.Preprocess(f); pres.Unsat {
-			// Leave the contradiction for the enumerators to report as an
-			// empty result uniformly.
-			f = cnf.New(nVars)
-			f.AddClause(cnf.Clause{})
-		}
-		f.NumVars = nVars // reductions never add variables
 	}
 	var proj []lit.Var
 	switch {
@@ -463,14 +451,7 @@ func EnumerateDimacsOpts(r io.Reader, o DimacsOptions) (*allsat.Result, error) {
 		o.Stats.Counter("solutions").Add(res.Stats.Solutions)
 		o.Stats.Counter("cubes").Add(res.Stats.Cubes)
 		o.Stats.MaxGauge("bdd-nodes", int64(res.Stats.BDDNodes))
-		if sstats.Applied {
-			o.Stats.Counter("simplify-runs").Inc()
-			o.Stats.Counter("simplify-vars-eliminated").Add(uint64(sstats.VarsEliminated))
-			o.Stats.Counter("simplify-clauses-subsumed").Add(uint64(sstats.ClausesSubsumed))
-			o.Stats.Counter("simplify-lits-strengthened").Add(uint64(sstats.LitsStrengthened))
-			o.Stats.Counter("simplify-resolvents-added").Add(uint64(sstats.ResolventsAdded))
-			o.Stats.Counter("simplify-probe-failures").Add(uint64(sstats.ProbeFailures))
-		}
+		sstats.Publish(o.Stats, "")
 		if res.Aborted {
 			o.Stats.Counter("aborts").Inc()
 			o.Stats.Counter("abort-" + res.Reason.String()).Inc()

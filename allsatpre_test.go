@@ -152,32 +152,40 @@ func TestEnumerateDimacs(t *testing.T) {
 }
 
 func TestEnumerateDimacsPreprocess(t *testing.T) {
-	// Subsumed clause plus implied unit: preprocessing must not change
+	// Subsumed clause plus implied unit: simplification must not change
 	// the projected solution set.
 	src := "c proj 1 2 3\np cnf 4 4\n1 2 0\n1 2 3 0\n4 0\n-4 1 0\n"
-	plain, err := EnumerateDimacs(strings.NewReader(src), EngineSuccessDriven, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre, err := EnumerateDimacsOpts(strings.NewReader(src), DimacsOptions{
-		Engine: EngineSuccessDriven, Preprocess: true,
+	plain, err := EnumerateDimacsOpts(strings.NewReader(src), DimacsOptions{
+		Engine: EngineSuccessDriven, Simplify: SimplifyOff,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Count.Cmp(pre.Count) != 0 {
-		t.Fatalf("preprocessing changed the count: %v vs %v", plain.Count, pre.Count)
+	simp, err := EnumerateDimacsOpts(strings.NewReader(src), DimacsOptions{
+		Engine: EngineSuccessDriven, Simplify: SimplifyOn,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A contradictory formula preprocesses to an empty result.
+	if plain.Count.Cmp(simp.Count) != 0 {
+		t.Fatalf("simplification changed the count: %v vs %v", plain.Count, simp.Count)
+	}
+	if !simp.Stats.Simplify.Applied || plain.Stats.Simplify.Applied {
+		t.Fatalf("Simplify mode not honoured: off applied=%v, on applied=%v",
+			plain.Stats.Simplify.Applied, simp.Stats.Simplify.Applied)
+	}
+	// A contradictory formula simplifies to an empty result.
 	unsat := "p cnf 1 2\n1 0\n-1 0\n"
-	r, err := EnumerateDimacsOpts(strings.NewReader(unsat), DimacsOptions{
-		Engine: EngineBlocking, Preprocess: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Count.Sign() != 0 {
-		t.Fatal("UNSAT after preprocessing should have empty projection")
+	for _, mode := range []SimplifyMode{SimplifyOff, SimplifyOn} {
+		r, err := EnumerateDimacsOpts(strings.NewReader(unsat), DimacsOptions{
+			Engine: EngineBlocking, Simplify: mode,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Count.Sign() != 0 {
+			t.Fatalf("simplify %v: UNSAT formula should have an empty projection", mode)
+		}
 	}
 }
 

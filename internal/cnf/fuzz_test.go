@@ -36,28 +36,3 @@ func FuzzParseDimacs(f *testing.F) {
 		}
 	})
 }
-
-// FuzzSimplify checks the simplifier never panics and preserves
-// satisfiability status detectable at level 0.
-func FuzzSimplify(f *testing.F) {
-	f.Add("p cnf 3 3\n1 0\n-1 2 0\n-2 3 0\n")
-	f.Add("p cnf 2 2\n1 0\n-1 0\n")
-	f.Add("p cnf 4 2\n1 -1 0\n2 3 4 0\n")
-	f.Fuzz(func(t *testing.T, src string) {
-		formula, _, err := ParseDimacsString(src)
-		if err != nil || formula.NumVars > 16 || len(formula.Clauses) > 24 {
-			return
-		}
-		before := formula.CountModels()
-		res := Simplify(formula, nil)
-		if res.Unsat {
-			if before != 0 {
-				t.Fatalf("Simplify claimed UNSAT with %d models", before)
-			}
-			return
-		}
-		if after := formula.CountModels(); after != before {
-			t.Fatalf("Simplify changed model count %d -> %d", before, after)
-		}
-	})
-}

@@ -451,15 +451,14 @@ func Table5() (*stats.Table, []Row) {
 	return tb, rows
 }
 
-// Table6 is the CNF-reduction ablation, three-way: no reduction, exact
-// Davis–Putnam elimination of every auxiliary variable (EliminateAux),
-// and the bounded projection-safe simplifier (internal/simplify), for
-// the success-driven and lifting engines. The states column is identical
-// across the three rows of each pair by construction — all reductions
-// preserve the projection — while decisions, eliminated variables, and
-// time show what each reduction buys.
+// Table6 is the CNF-reduction ablation, two-way: no reduction against
+// the projection-safe simplifier (internal/simplify), for the
+// success-driven and lifting engines. The states column is identical
+// across the two rows of each pair by construction — the simplifier
+// preserves the projection — while decisions, eliminated variables, and
+// time show what the reduction buys.
 func Table6() (*stats.Table, []Row) {
-	tb := stats.NewTable("Table 6 — CNF-reduction ablation (none / eliminate-aux / simplify)",
+	tb := stats.NewTable("Table 6 — CNF-reduction ablation (none / simplify)",
 		"circuit", "engine", "reduction", "states", "decisions", "vars-elim", "time")
 	var rows []Row
 	suite := []gen.NamedCircuit{
@@ -473,7 +472,6 @@ func Table6() (*stats.Table, []Row) {
 		opts preimage.Options
 	}{
 		{"none", preimage.Options{Simplify: simplify.Off}},
-		{"elim-aux", preimage.Options{EliminateAux: true, Simplify: simplify.Off}},
 		{"simplify", preimage.Options{Simplify: simplify.On}},
 	}
 	for _, nc := range suite {

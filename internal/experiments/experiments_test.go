@@ -210,10 +210,10 @@ func TestFig4EnginesAgree(t *testing.T) {
 
 func TestTable6EliminationAgrees(t *testing.T) {
 	_, rows := Table6()
-	// Rows come in off/on pairs; both must agree on the state count.
+	// Rows come in none/simplify pairs; both must agree on the state count.
 	for i := 0; i < len(rows); i += 2 {
 		if rows[i].Count.Cmp(rows[i+1].Count) != 0 {
-			t.Fatalf("%s/%v: elimination changed the answer", rows[i].Circuit, rows[i].Engine)
+			t.Fatalf("%s/%v: simplification changed the answer", rows[i].Circuit, rows[i].Engine)
 		}
 	}
 }

@@ -176,12 +176,8 @@ func simplifyBase(inst *trans.Instance, opts Options) {
 		}
 	}
 	res := simplify.Run(inst.F, func(v lit.Var) bool { return frozen[v] }, simplify.Options{})
-	if reg := opts.Stats; reg != nil && res.Stats.Applied {
-		reg.Counter("incr.simplify-vars-eliminated").Add(uint64(res.Stats.VarsEliminated))
-		reg.Counter("incr.simplify-clauses-subsumed").Add(uint64(res.Stats.ClausesSubsumed))
-		reg.Counter("incr.simplify-lits-strengthened").Add(uint64(res.Stats.LitsStrengthened))
-		reg.Counter("incr.simplify-resolvents-added").Add(uint64(res.Stats.ResolventsAdded))
-		reg.Counter("incr.simplify-probe-failures").Add(uint64(res.Stats.ProbeFailures))
+	if opts.Stats != nil {
+		res.Stats.Publish(opts.Stats, "incr.")
 	}
 }
 

@@ -27,12 +27,10 @@ import (
 )
 
 // useIncremental reports whether the incremental session path applies:
-// it implements only the success-driven engine, and neither per-step
-// variable elimination (the clause database must persist) nor Restrict
-// (a per-step unit constraint) compose with a persistent solver.
+// it implements only the success-driven engine, and Restrict (a per-step
+// unit constraint) does not compose with a persistent solver.
 func useIncremental(opts Options) bool {
-	return opts.Incremental && opts.Engine == EngineSuccessDriven &&
-		!opts.EliminateAux && opts.Restrict == nil
+	return opts.Incremental && opts.Engine == EngineSuccessDriven && opts.Restrict == nil
 }
 
 // incrOptions translates preimage options into session options with the

@@ -29,6 +29,7 @@ import (
 
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/lit"
+	"allsatpre/internal/stats"
 )
 
 // Mode is a tri-state switch for threading the simplifier through option
@@ -67,8 +68,8 @@ func (m Mode) String() string {
 	}
 }
 
-// Options tunes the simplifier. The zero value is replaced by
-// DefaultOptions.
+// Options tunes the simplifier. Each zero field takes its default, so
+// Options{} is the standard tuning.
 type Options struct {
 	// MaxGrowth is the clause-count growth allowed when eliminating one
 	// variable: v is eliminated only when the number of non-tautological
@@ -77,41 +78,28 @@ type Options struct {
 	MaxGrowth int
 	// MaxOccur skips elimination for variables occurring more often than
 	// this (the resolvent check is quadratic in the occurrence counts).
+	// 0 means 80.
 	MaxOccur int
-	// Probing enables top-level failed-literal probing: assume each
-	// candidate literal, propagate, and add the negation as a unit when
-	// propagation hits a conflict.
-	Probing bool
-	// MaxProbes caps the number of probed literals per run.
+	// NoProbing disables top-level failed-literal probing, which
+	// otherwise assumes each candidate literal, propagates, and adds the
+	// negation as a unit when propagation hits a conflict.
+	NoProbing bool
+	// MaxProbes caps the number of probed literals per run. 0 means 4096.
 	MaxProbes int
 	// MaxRounds bounds the simplify–eliminate fixpoint iteration.
+	// 0 means 8.
 	MaxRounds int
 }
 
-// DefaultOptions returns the standard tuning.
-func DefaultOptions() Options {
-	return Options{
-		MaxGrowth: 0,
-		MaxOccur:  80,
-		Probing:   true,
-		MaxProbes: 4096,
-		MaxRounds: 8,
-	}
-}
-
 func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	if o == (Options{}) {
-		return d
-	}
 	if o.MaxOccur == 0 {
-		o.MaxOccur = d.MaxOccur
+		o.MaxOccur = 80
 	}
 	if o.MaxProbes == 0 {
-		o.MaxProbes = d.MaxProbes
+		o.MaxProbes = 4096
 	}
 	if o.MaxRounds == 0 {
-		o.MaxRounds = d.MaxRounds
+		o.MaxRounds = 8
 	}
 	return o
 }
@@ -143,6 +131,28 @@ type Stats struct {
 	// ClausesBefore/After and LitsBefore/After measure the net effect.
 	ClausesBefore, ClausesAfter int
 	LitsBefore, LitsAfter       int
+}
+
+// Publish adds the run's counters to reg under names prefix+"simplify-…"
+// (simplify-runs, -vars-eliminated, -units-fixed, -clauses-subsumed,
+// -lits-strengthened, -resolvents-added, -probes, -probe-failures,
+// -clauses-removed). A run that did not apply publishes nothing.
+func (s Stats) Publish(reg *stats.Registry, prefix string) {
+	if !s.Applied {
+		return
+	}
+	p := prefix + "simplify-"
+	reg.Counter(p + "runs").Inc()
+	reg.Counter(p + "vars-eliminated").Add(uint64(s.VarsEliminated))
+	reg.Counter(p + "units-fixed").Add(uint64(s.UnitsFixed))
+	reg.Counter(p + "clauses-subsumed").Add(uint64(s.ClausesSubsumed))
+	reg.Counter(p + "lits-strengthened").Add(uint64(s.LitsStrengthened))
+	reg.Counter(p + "resolvents-added").Add(uint64(s.ResolventsAdded))
+	reg.Counter(p + "probes").Add(uint64(s.Probes))
+	reg.Counter(p + "probe-failures").Add(uint64(s.ProbeFailures))
+	if s.ClausesAfter < s.ClausesBefore {
+		reg.Counter(p + "clauses-removed").Add(uint64(s.ClausesBefore - s.ClausesAfter))
+	}
 }
 
 // record is one entry of the elimination stack, in chronological order.
@@ -183,7 +193,7 @@ func Run(f *cnf.Formula, frozen func(lit.Var) bool, opts Options) *Result {
 	sp.propagate()
 	for round := 0; round < sp.opts.MaxRounds && !sp.unsat; round++ {
 		changed := sp.subsumePass()
-		if round == 0 && sp.opts.Probing && !sp.unsat {
+		if round == 0 && !sp.opts.NoProbing && !sp.unsat {
 			changed = sp.probePass() || changed
 		}
 		if !sp.unsat {

@@ -7,6 +7,7 @@ import (
 
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/lit"
+	"allsatpre/internal/stats"
 )
 
 // randomFormula builds a small random 1..4-CNF over n variables.
@@ -68,6 +69,28 @@ func TestProjectionEquivalenceRandom(t *testing.T) {
 		for m := range want {
 			if !got[m] {
 				t.Fatalf("trial %d: projected model %s lost", trial, m)
+			}
+		}
+
+		// All variables frozen: nothing may be eliminated, so the exact
+		// model set over every variable is unchanged.
+		all := make([]lit.Var, n)
+		for v := range all {
+			all[v] = lit.Var(v)
+		}
+		g := orig.Clone()
+		gres := Run(g, func(lit.Var) bool { return true }, Options{})
+		if gres.Stats.VarsEliminated != 0 {
+			t.Fatalf("trial %d: all-frozen run eliminated %d vars", trial, gres.Stats.VarsEliminated)
+		}
+		wantAll, gotAll := orig.ProjectedModels(all), g.ProjectedModels(all)
+		if len(gotAll) != len(wantAll) {
+			t.Fatalf("trial %d: all-frozen model count %d != %d\norig: %v\nsimp: %v",
+				trial, len(gotAll), len(wantAll), orig, g)
+		}
+		for m := range wantAll {
+			if !gotAll[m] {
+				t.Fatalf("trial %d: all-frozen model %s lost", trial, m)
 			}
 		}
 	}
@@ -191,7 +214,7 @@ func TestSubsumptionAndStrengthening(t *testing.T) {
 	f.Add(lit.Pos(0), lit.Pos(1), lit.Pos(2))    // subsumed by c0
 	f.Add(lit.Neg(0), lit.Pos(1), lit.Pos(3))    // self-subsumed by c0 on x0 -> (x1 x3)
 	frozen := func(lit.Var) bool { return true } // isolate subsumption from BVE
-	res := Run(f, frozen, Options{Probing: false, MaxRounds: 2, MaxOccur: 1})
+	res := Run(f, frozen, Options{NoProbing: true, MaxRounds: 2, MaxOccur: 1})
 	if res.Stats.ClausesSubsumed == 0 {
 		t.Fatalf("expected subsumption, stats: %+v", res.Stats)
 	}
@@ -214,20 +237,29 @@ func TestSubsumptionAndStrengthening(t *testing.T) {
 // TestProbing: x2 is entailed through the chain (¬x0 ∨ x2) ∧ (x0 ∨ x1) ∧
 // (¬x1 ∨ x2) — no clause pair admits self-subsuming resolution, so only
 // failed-literal probing of ¬x2 (whose BCP derives ¬x0, x1, conflict)
-// exposes the unit.
+// exposes the unit. With NoProbing as the only set field the pass must
+// not probe at all.
 func TestProbing(t *testing.T) {
-	f := cnf.New(3)
-	f.Add(lit.Neg(0), lit.Pos(2))
-	f.Add(lit.Pos(0), lit.Pos(1))
-	f.Add(lit.Neg(1), lit.Pos(2))
-	frozen := func(lit.Var) bool { return true }
-	res := Run(f, frozen, Options{Probing: true, MaxOccur: 1})
-	if res.Stats.ProbeFailures == 0 {
-		t.Fatalf("expected a failed literal, stats: %+v", res.Stats)
-	}
-	got := f.ProjectedModels([]lit.Var{2})
-	if len(got) != 1 || !got["1"] {
-		t.Fatalf("probing failed to fix x2: %v", got)
+	for _, opts := range []Options{{MaxOccur: 1}, {NoProbing: true}} {
+		f := cnf.New(3)
+		f.Add(lit.Neg(0), lit.Pos(2))
+		f.Add(lit.Pos(0), lit.Pos(1))
+		f.Add(lit.Neg(1), lit.Pos(2))
+		frozen := func(lit.Var) bool { return true }
+		res := Run(f, frozen, opts)
+		if opts.NoProbing {
+			if res.Stats.Probes != 0 || res.Stats.ProbeFailures != 0 {
+				t.Fatalf("probing ran with NoProbing set, stats: %+v", res.Stats)
+			}
+			continue
+		}
+		if res.Stats.ProbeFailures == 0 {
+			t.Fatalf("expected a failed literal, stats: %+v", res.Stats)
+		}
+		got := f.ProjectedModels([]lit.Var{2})
+		if len(got) != 1 || !got["1"] {
+			t.Fatalf("probing failed to fix x2: %v", got)
+		}
 	}
 }
 
@@ -238,7 +270,7 @@ func TestPureLiteralElimination(t *testing.T) {
 	f.Add(lit.Pos(0), lit.Pos(2))
 	f.Add(lit.Pos(1), lit.Pos(2))
 	frozen := func(v lit.Var) bool { return v != 2 }
-	res := Run(f, frozen, Options{Probing: false})
+	res := Run(f, frozen, Options{NoProbing: true})
 	if res.Stats.VarsEliminated != 1 {
 		t.Fatalf("expected pure-literal elimination of x2, stats: %+v", res.Stats)
 	}
@@ -289,5 +321,130 @@ func TestModeEnabled(t *testing.T) {
 	}
 	if Auto.String() != "auto" || On.String() != "on" || Off.String() != "off" {
 		t.Fatal("Mode.String mismatch")
+	}
+}
+
+// TestStatsPublishNames pins the counter names Stats.Publish emits: the
+// preimage, DIMACS and incremental-session callers all report through it,
+// and dashboards key on these names.
+func TestStatsPublishNames(t *testing.T) {
+	st := Stats{Applied: true, VarsEliminated: 2, UnitsFixed: 1, ClausesSubsumed: 3,
+		LitsStrengthened: 4, ResolventsAdded: 5, Probes: 6, ProbeFailures: 7,
+		ClausesBefore: 10, ClausesAfter: 8}
+	reg := stats.NewRegistry("t")
+	st.Publish(reg, "incr.")
+	Stats{}.Publish(reg, "") // not applied: publishes nothing
+	want := map[string]string{
+		"incr.simplify-runs": "1", "incr.simplify-vars-eliminated": "2",
+		"incr.simplify-units-fixed": "1", "incr.simplify-clauses-subsumed": "3",
+		"incr.simplify-lits-strengthened": "4", "incr.simplify-resolvents-added": "5",
+		"incr.simplify-probes": "6", "incr.simplify-probe-failures": "7",
+		"incr.simplify-clauses-removed": "2",
+	}
+	got := map[string]string{}
+	for _, kv := range reg.Snapshot().Metrics {
+		got[kv.Key] = kv.Value
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("published counters\n got %v\nwant %v", got, want)
+	}
+}
+
+// FuzzSimplify checks Run never panics and, with every variable frozen,
+// preserves the exact model set (UNSAT only when there is no model).
+func FuzzSimplify(f *testing.F) {
+	f.Add("p cnf 3 3\n1 0\n-1 2 0\n-2 3 0\n")
+	f.Add("p cnf 2 2\n1 0\n-1 0\n")
+	f.Add("p cnf 4 2\n1 -1 0\n2 3 4 0\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		formula, _, err := cnf.ParseDimacsString(src)
+		if err != nil || formula.NumVars > 16 || len(formula.Clauses) > 24 {
+			return
+		}
+		all := make([]lit.Var, formula.NumVars)
+		for v := range all {
+			all[v] = lit.Var(v)
+		}
+		before := formula.ProjectedModels(all)
+		res := Run(formula, func(lit.Var) bool { return true }, Options{})
+		if res.Unsat {
+			if len(before) != 0 {
+				t.Fatalf("Run claimed UNSAT with %d models", len(before))
+			}
+			return
+		}
+		after := formula.ProjectedModels(all)
+		if len(after) != len(before) {
+			t.Fatalf("Run changed the model count %d -> %d", len(before), len(after))
+		}
+		for m := range before {
+			if !after[m] {
+				t.Fatalf("Run lost model %s", m)
+			}
+		}
+	})
+}
+
+// TestSubsumesHelper pins subsumes on normalized clauses, including the
+// empty clause, which subsumes everything.
+func TestSubsumesHelper(t *testing.T) {
+	a, _ := cnf.Clause{lit.Pos(0), lit.Pos(2)}.Normalize()
+	b, _ := cnf.Clause{lit.Pos(0), lit.Pos(1), lit.Pos(2)}.Normalize()
+	if !subsumes(a, b) || subsumes(b, a) {
+		t.Fatal("subsumes broken")
+	}
+	if !subsumes(cnf.Clause{}, a) {
+		t.Fatal("empty clause subsumes everything")
+	}
+}
+
+// TestSignatureIsSound: the signature prefilter never rejects a real
+// subsumption. b extends a by a random clause, so a ⊆ b on every
+// non-tautological draw.
+func TestSignatureIsSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(912))
+	for iter := 0; iter < 200; iter++ {
+		a := randomFormula(rng, 80, 1).Clauses[0]
+		b := append(randomFormula(rng, 80, 1).Clauses[0], a...)
+		an, t1 := a.Normalize()
+		bn, t2 := b.Normalize()
+		if t1 || t2 {
+			continue
+		}
+		if !subsumes(an, bn) {
+			t.Fatalf("subsumes misses %v ⊆ %v", an, bn)
+		}
+		if signature(an)&^signature(bn) != 0 {
+			t.Fatalf("signature filter rejects a real subsumption: %v ⊆ %v", an, bn)
+		}
+	}
+}
+
+// TestDuplicateClausesCollapse: one copy of a clause repeated with its
+// literals reordered survives.
+func TestDuplicateClausesCollapse(t *testing.T) {
+	f := cnf.New(2)
+	f.Add(lit.Pos(0), lit.Pos(1))
+	f.Add(lit.Pos(1), lit.Pos(0))
+	Run(f, func(lit.Var) bool { return true }, Options{})
+	if len(f.Clauses) != 1 {
+		t.Fatalf("%d clauses left, want 1", len(f.Clauses))
+	}
+}
+
+// TestIdempotent: with every variable frozen, a second Run over the
+// output finds nothing left to subsume, strengthen or fix.
+func TestIdempotent(t *testing.T) {
+	rng := rand.New(rand.NewSource(911))
+	all := func(lit.Var) bool { return true }
+	for iter := 0; iter < 50; iter++ {
+		f := randomFormula(rng, 6, 12)
+		if Run(f, all, Options{}).Unsat {
+			continue
+		}
+		st := Run(f, all, Options{}).Stats
+		if st.ClausesSubsumed != 0 || st.LitsStrengthened != 0 || st.ClausesAfter != st.ClausesBefore {
+			t.Fatalf("iter %d: second pass still found work: %+v", iter, st)
+		}
 	}
 }

@@ -76,10 +76,11 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 // reports stats at the end, so a lock-coverage regression on these keys
 // surfaces here under -race before it corrupts a real run's report.
 // TestRegistrySimplifyKeysHammer hammers the exact metric keys the
-// projection-safe preprocessor publishes (preimage.recordStats and the
-// incr session's incr.simplify-* variants), concurrently with snapshot
-// readers — the preimage path records them from whichever goroutine
-// finishes a parallel run, so the same lock-coverage guarantee applies.
+// projection-safe preprocessor publishes (simplify.Stats.Publish, with no
+// prefix from preimage and the DIMACS entry point and with "incr." from
+// the incr session), concurrently with snapshot readers — the preimage
+// path records them from whichever goroutine finishes a parallel run, so
+// the same lock-coverage guarantee applies.
 func TestRegistrySimplifyKeysHammer(t *testing.T) {
 	reg := NewRegistry("simplify-hammer")
 	counters := []string{
@@ -87,9 +88,10 @@ func TestRegistrySimplifyKeysHammer(t *testing.T) {
 		"simplify-clauses-subsumed", "simplify-lits-strengthened",
 		"simplify-resolvents-added", "simplify-probes", "simplify-probe-failures",
 		"simplify-clauses-removed",
-		"incr.simplify-vars-eliminated", "incr.simplify-clauses-subsumed",
-		"incr.simplify-lits-strengthened", "incr.simplify-resolvents-added",
-		"incr.simplify-probe-failures",
+		"incr.simplify-runs", "incr.simplify-vars-eliminated", "incr.simplify-units-fixed",
+		"incr.simplify-clauses-subsumed", "incr.simplify-lits-strengthened",
+		"incr.simplify-resolvents-added", "incr.simplify-probes", "incr.simplify-probe-failures",
+		"incr.simplify-clauses-removed",
 	}
 	const (
 		goroutines = 8

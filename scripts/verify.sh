@@ -8,6 +8,9 @@ set -eux
 go build ./...
 go vet ./...
 go test ./...
+# perfbench is a nested module, so the root ./... never compiles it: vet
+# and test it on its own so an API change it depends on fails here.
+(cd perfbench && go vet ./... && go test ./...)
 go test -race -short ./...
 # The parallel-enumeration determinism suite must hold regardless of how
 # the Go scheduler interleaves workers: exercise it both pinned to one OS
